@@ -164,7 +164,7 @@ class ProcBodyStream(_EditStream):
         yield restore
 
 
-def _run_stream(stream, solver, graph, entry, exit_, factory, backend, reps):
+def _run_stream(stream, solver, graph, entry, exit_, factory, reps):
     """Replay ``stream`` ``reps`` times; returns the stream row.
 
     Each edit is solved twice — incrementally through the retained
@@ -191,8 +191,7 @@ def _run_stream(stream, solver, graph, entry, exit_, factory, backend, reps):
             inc_edit[i] = min(inc_edit[i], time.perf_counter() - t0)
             t0 = time.perf_counter()
             cold_result = solve(
-                graph, entry, exit_, factory(),
-                strategy=COLD_STRATEGY, backend=backend,
+                graph, entry, exit_, factory(), strategy=COLD_STRATEGY
             )
             cold_edit[i] = min(cold_edit[i], time.perf_counter() - t0)
             _assert_equal(
@@ -227,7 +226,7 @@ def _query_point(graph, direction_forward):
     return mpi[0] if direction_forward else mpi[-1]
 
 
-def _run_demand(icfg, entry, exit_, factory, backend, fact, reps):
+def _run_demand(icfg, entry, exit_, factory, fact, reps):
     graph = icfg.graph
     probe = factory()
     from repro.dataflow.framework import Direction
@@ -238,19 +237,14 @@ def _run_demand(icfg, entry, exit_, factory, backend, fact, reps):
     q_s, query = None, None
     for _ in range(reps):
         t0 = time.perf_counter()
-        query = solve_query(
-            graph, entry, exit_, factory(), node, fact, backend=backend
-        )
+        query = solve_query(graph, entry, exit_, factory(), node, fact)
         dt = time.perf_counter() - t0
         if q_s is None or dt < q_s:
             q_s = dt
     cold_s, cold = None, None
     for _ in range(reps):
         t0 = time.perf_counter()
-        cold = solve(
-            graph, entry, exit_, factory(),
-            strategy=COLD_STRATEGY, backend=backend,
-        )
+        cold = solve(graph, entry, exit_, factory(), strategy=COLD_STRATEGY)
         dt = time.perf_counter() - t0
         if cold_s is None or dt < cold_s:
             cold_s = dt
@@ -297,36 +291,31 @@ def run(mode: str) -> dict:
                 ("useful", spec.dependents[0],
                  lambda: UsefulProblem(icfg, spec.dependents))
             )
-        backends = ("bitset",) if smoke else ("native", "bitset")
         for analysis, fact, factory in analyses:
-            for backend in backends:
-                solver = IncrementalSolver(
-                    graph, entry, exit_, factory, backend=backend
+            solver = IncrementalSolver(graph, entry, exit_, factory)
+            solver.solve()  # converge once; streams start warm
+            streams = [
+                SingleStmtStream(graph, limit=4 if smoke else None),
+                CommMatchStream(graph, limit=1 if smoke else 4),
+                ProcBodyStream(graph),
+            ]
+            row = {
+                "name": name,
+                "analysis": analysis,
+                "backend": solver.backend,
+                "nodes": len(graph),
+                "streams": {},
+            }
+            for stream in streams:
+                stats = _run_stream(
+                    stream, solver, graph, entry, exit_, factory, reps
                 )
-                solver.solve()  # converge once; streams start warm
-                streams = [
-                    SingleStmtStream(graph, limit=4 if smoke else None),
-                    CommMatchStream(graph, limit=1 if smoke else 4),
-                    ProcBodyStream(graph),
-                ]
-                row = {
-                    "name": name,
-                    "analysis": analysis,
-                    "backend": solver.backend,
-                    "nodes": len(graph),
-                    "streams": {},
-                }
-                for stream in streams:
-                    stats = _run_stream(
-                        stream, solver, graph, entry, exit_, factory,
-                        backend, reps,
-                    )
-                    if stats is not None:
-                        row["streams"][stream.name] = stats
-                row["demand"] = _run_demand(
-                    icfg, entry, exit_, factory, backend, fact, reps
-                )
-                report["benchmarks"].append(row)
+                if stats is not None:
+                    row["streams"][stream.name] = stats
+            row["demand"] = _run_demand(
+                icfg, entry, exit_, factory, fact, reps
+            )
+            report["benchmarks"].append(row)
     return report
 
 

@@ -1,13 +1,18 @@
-"""E8 — §4.2/§4.3 solver engineering: round-robin vs worklist vs
-SCC-priority strategies, fact backends, and scaling of the framework
-with program size.
+"""E8 — §4.2/§4.3 solver engineering: round-robin vs SCC-priority
+strategies, and scaling of the framework with program size.
 
-``test_table1_speedup_json`` additionally races every strategy ×
-backend configuration against the frozen PR-0 solver
-(:mod:`benchmarks.seed_solver`) over the full Table 1 suite and emits
-machine-readable ``benchmarks/results/BENCH_solver.json``.
+``test_table1_speedup_json`` additionally races both strategies against
+the frozen PR-0 solver (:mod:`benchmarks.seed_solver`) over the full
+Table 1 suite, asserting bit-identical fixed points.  Running the file
+as a script repeats that race and writes the machine-readable
+``benchmarks/results/BENCH_solver.json`` (gated by
+``check_regression.py``); the pytest run writes no JSON, so the suite
+leaves the committed report untouched::
+
+    PYTHONPATH=src python benchmarks/bench_solver.py
 """
 
+import pathlib
 import time
 
 import pytest
@@ -21,9 +26,16 @@ from repro.mpi import build_mpi_icfg
 from repro.programs import benchmark as get_spec
 from repro.programs.registry import BENCHMARKS
 
-from .conftest import write_artifact
-from .jsonreport import render_report
-from .seed_solver import seed_solve
+try:  # package import (pytest) vs direct script execution
+    from .conftest import write_artifact
+    from .jsonreport import write_report
+    from .seed_solver import seed_solve
+except ImportError:  # pragma: no cover - script mode
+    from conftest import write_artifact
+    from jsonreport import write_report
+    from seed_solver import seed_solve
+
+RESULTS_DIR = pathlib.Path(__file__).resolve().parent / "results"
 
 
 @pytest.fixture(scope="module")
@@ -51,21 +63,18 @@ def test_solver_strategy_timing(benchmark, lu_icfg, strategy):
 def test_strategies_reach_identical_fixed_points(lu_icfg, results_dir):
     spec, icfg = lu_icfg
     rr = vary_analysis(icfg, spec.independents, MpiModel.COMM_EDGES, "roundrobin")
-    wl = vary_analysis(icfg, spec.independents, MpiModel.COMM_EDGES, "worklist")
     pr = vary_analysis(icfg, spec.independents, MpiModel.COMM_EDGES, "priority")
     for nid in icfg.graph.nodes:
-        assert rr.out_fact(nid) == wl.out_fact(nid) == pr.out_fact(nid)
+        assert rr.out_fact(nid) == pr.out_fact(nid)
     write_artifact(
         results_dir,
         "solver_strategies.txt",
         f"LU-2 Vary: roundrobin passes={rr.iterations} "
-        f"(visits={rr.visits}), worklist visits={wl.visits}, "
-        f"priority visits={pr.visits}\n"
+        f"(visits={rr.visits}), priority visits={pr.visits}\n"
         f"graph nodes={len(icfg.graph)}\n",
     )
-    # Demand-driven strategies visit fewer node evaluations than full
-    # sweeps, and SCC-priority draining never does worse than FIFO.
-    assert wl.visits <= rr.visits
+    # SCC-priority draining visits fewer node evaluations than full
+    # sweeps.
     assert pr.visits <= rr.visits
 
 
@@ -94,10 +103,10 @@ def _set_problems(icfg, spec):
     )
 
 
-def test_table1_speedup_json(results_dir):
-    """Race every strategy × backend against the seed solver on every
-    Table 1 benchmark, asserting bit-identical fixed points, and write
-    ``BENCH_solver.json``."""
+def table1_speedups() -> dict:
+    """Race both strategies against the seed solver on every Table 1
+    benchmark, asserting bit-identical fixed points; the report that
+    ``BENCH_solver.json`` records."""
     report = {
         "suite": "table1",
         "seed": {"solver": "benchmarks/seed_solver.py", "strategy": "roundrobin",
@@ -125,48 +134,48 @@ def test_table1_speedup_json(results_dir):
                 "configs": [],
             }
             for strategy in STRATEGIES:
-                for backend in ("native", "bitset"):
-                    wall, res = _best_of(
-                        lambda: solve(
-                            graph, entry, exit_, make(),
-                            strategy=strategy, backend=backend,
-                        )
-                    )
-                    # ≥3× is worthless if the answer changed: the fixed
-                    # point must be bit-identical to the seed solver's.
-                    assert res.before == seed_res.before, (
-                        spec.name, analysis, strategy, backend)
-                    assert res.after == seed_res.after, (
-                        spec.name, analysis, strategy, backend)
-                    stats = res.stats
-                    config = {
-                        "strategy": strategy,
-                        "backend": stats.backend,
-                        "ms": wall * 1e3,
-                        "speedup": seed_s / wall,
-                        "visits": stats.visits,
-                        "transfers": stats.transfers,
-                        "meets": stats.meets,
-                        "comm_requeues": stats.comm_requeues,
+                wall, res = _best_of(
+                    lambda: solve(graph, entry, exit_, make(), strategy=strategy)
+                )
+                # ≥3× is worthless if the answer changed: the fixed
+                # point must be bit-identical to the seed solver's.
+                assert res.before == seed_res.before, (
+                    spec.name, analysis, strategy)
+                assert res.after == seed_res.after, (
+                    spec.name, analysis, strategy)
+                stats = res.stats
+                config = {
+                    "strategy": strategy,
+                    "backend": stats.backend,
+                    "ms": wall * 1e3,
+                    "speedup": seed_s / wall,
+                    "visits": stats.visits,
+                    "transfers": stats.transfers,
+                    "meets": stats.meets,
+                    "comm_requeues": stats.comm_requeues,
+                }
+                entry_row["configs"].append(config)
+                if config["speedup"] > max_speedup["speedup"]:
+                    max_speedup = {
+                        "name": spec.name,
+                        "analysis": analysis,
+                        **config,
                     }
-                    entry_row["configs"].append(config)
-                    if config["speedup"] > max_speedup["speedup"]:
-                        max_speedup = {
-                            "name": spec.name,
-                            "analysis": analysis,
-                            **config,
-                        }
             entry_row["best"] = max(
                 entry_row["configs"], key=lambda c: c["speedup"]
             )
             report["benchmarks"].append(entry_row)
     report["max_speedup"] = max_speedup
-    write_artifact(results_dir, "BENCH_solver.json", render_report(report))
+    return report
+
+
+def test_table1_speedup_json():
+    report = table1_speedups()
     # The headline claim (≥3× on at least one set-based analysis) is
     # recorded in the JSON; asserting a softer floor here keeps the
     # suite robust on loaded CI machines while still catching real
     # performance regressions.
-    assert max_speedup["speedup"] >= 1.5
+    assert report["max_speedup"]["speedup"] >= 1.5
 
 
 def _chain_program(n_procs: int) -> str:
@@ -200,7 +209,7 @@ def test_scaling_with_wrapper_depth(benchmark, depth):
     prog = parse_program(_chain_program(depth))
     icfg, _ = build_mpi_icfg(prog, "main", clone_level=0)
     result = benchmark(
-        lambda: vary_analysis(icfg, ["x"], MpiModel.COMM_EDGES, strategy="worklist")
+        lambda: vary_analysis(icfg, ["x"], MpiModel.COMM_EDGES, strategy="priority")
     )
     assert result.visits > 0
 
@@ -214,3 +223,8 @@ def test_scaling_with_clone_level(benchmark, level):
         rounds=2,
         iterations=1,
     )
+
+
+if __name__ == "__main__":
+    out = write_report(RESULTS_DIR / "BENCH_solver.json", table1_speedups())
+    print(f"wrote {out}")

@@ -14,21 +14,17 @@ come from a different box than CI — so both comparisons run on
   without meaning anything, while a broken cache jumps by the full
   cold time.
 * **solver** configurations compare speedup-vs-seed geometric means
-  per strategy × backend over the whole Table 1 suite, measured
-  against the frozen PR-0 solver (``benchmarks/seed_solver.py``) in
-  the same process, same as ``bench_solver.py`` does.
+  per strategy over the whole Table 1 suite, measured against the
+  frozen PR-0 solver (``benchmarks/seed_solver.py``) in the same
+  process, same as ``bench_solver.py`` does.
 * **incremental** (``BENCH_incremental.json``) gates absolute speedup
-  *ratios*, which are machine-normalized by construction: on the
-  default-backend rows (``bitset``, what ``backend="auto"`` resolves
-  to for the kernel analyses) single-statement edit streams must stay
-  ≥5× faster incrementally than cold, and demand queries must visit
-  strictly fewer nodes than a cold solve on every row.  The committed
-  report is validated as recorded; the fresh guard re-runs
-  ``bench_incremental`` in smoke mode (LU-1 × bitset, ~10× margin) so
-  CI does not replay the multi-minute full matrix.  ``native`` rows
-  are recorded informationally — Sweep3d's 65-node communication SCC
-  forces a near-cold re-iteration for edits inside it, which only the
-  bitset backend's retained fact-interning amortizes past 5×.
+  *ratios*, which are machine-normalized by construction: on every
+  row, single-statement edit streams must stay ≥5× faster
+  incrementally than cold, and demand queries must visit strictly
+  fewer nodes than a cold solve.  The committed report is validated as
+  recorded; the fresh guard re-runs ``bench_incremental`` in smoke
+  mode (LU-1, ~10× margin) so CI does not replay the multi-minute full
+  matrix.
 
 * **interp** (``BENCH_interp.json``) gates the SPMD interpreter's
   event-recording figures *exactly*: message/byte counts, collective
@@ -97,10 +93,8 @@ POOL_STARTUP_ALLOWANCE_S = 0.25
 #: bench_solver._REPS).
 _REPS = 3
 #: Floor for incremental-vs-cold speedup on single-statement edit
-#: streams (default-backend rows only; ratios are machine-normalized).
+#: streams (ratios are machine-normalized).
 MIN_INCREMENTAL_SPEEDUP = 5.0
-#: The backend ``backend="auto"`` resolves to for the gated analyses.
-DEFAULT_BACKEND = "bitset"
 #: Floors for the serving report's machine-independent cache figures.
 #: The committed full run records ~0.70 hit rate / ~0.35 dedup ratio;
 #: the floors leave room for mix jitter, not for a broken cache tier.
@@ -206,16 +200,15 @@ def incremental_failures(
 ) -> list[str]:
     """Failure messages for one incremental report (committed or fresh).
 
-    Speedups are intra-run ratios, so they transfer across machines;
-    only default-backend rows are held to the floor (see module doc).
+    Speedups are intra-run ratios, so they transfer across machines.
     Demand queries must beat the cold solve on *visits* — a pure count,
     immune to timing noise — on every row that records one.
     """
     failures = []
     for row in report.get("benchmarks", []):
-        where = f"{row['name']}/{row['analysis']}/{row['backend']} ({label})"
+        where = f"{row['name']}/{row['analysis']} ({label})"
         single = row.get("streams", {}).get("single_stmt")
-        if single and row["backend"] == DEFAULT_BACKEND:
+        if single:
             if single["speedup"] < min_speedup:
                 failures.append(
                     f"incremental {where}: single_stmt speedup "
@@ -553,8 +546,8 @@ def _best_of(fn, reps=_REPS):
 
 
 def fresh_solver(committed: dict) -> dict:
-    """Re-measure the strategy × backend matrix against the seed solver
-    on the same benchmark × analysis entries as the committed report."""
+    """Re-measure both strategies against the seed solver on the same
+    benchmark × analysis entries as the committed report."""
     from repro.analyses.useful import UsefulProblem
     from repro.analyses.vary import VaryProblem
     from repro.dataflow.solver import STRATEGIES, solve
@@ -587,21 +580,17 @@ def fresh_solver(committed: dict) -> dict:
             )
             row = {"name": spec.name, "analysis": analysis, "configs": []}
             for strategy in STRATEGIES:
-                for backend in ("native", "bitset"):
-                    wall, res = _best_of(
-                        lambda: solve(
-                            graph, entry, exit_, make(),
-                            strategy=strategy, backend=backend,
-                        )
-                    )
-                    row["configs"].append(
-                        {
-                            "strategy": strategy,
-                            "backend": res.stats.backend,
-                            "ms": wall * 1e3,
-                            "speedup": seed_s / wall if wall else 0.0,
-                        }
-                    )
+                wall, res = _best_of(
+                    lambda: solve(graph, entry, exit_, make(), strategy=strategy)
+                )
+                row["configs"].append(
+                    {
+                        "strategy": strategy,
+                        "backend": res.stats.backend,
+                        "ms": wall * 1e3,
+                        "speedup": seed_s / wall if wall else 0.0,
+                    }
+                )
             report["benchmarks"].append(row)
     return report
 
@@ -722,13 +711,9 @@ def main(argv=None) -> int:
                     demand = row.get("demand")
                     if not single or not demand:
                         continue
-                    gated = (
-                        "gated" if row["backend"] == DEFAULT_BACKEND else "info"
-                    )
                     print(
                         f"incremental {label:9s} "
                         f"{row['name'] + '/' + row['analysis']:14s} "
-                        f"{row['backend']:6s} [{gated}] "
                         f"single_stmt {single['speedup']:5.1f}× "
                         f"demand {demand['visits']}/{demand['cold_visits']} "
                         "visits"

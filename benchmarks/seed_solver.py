@@ -1,20 +1,25 @@
-"""Frozen copy of the PR-0 (seed) solver, kept as the benchmark baseline.
+"""Frozen copy of the seed solver's round-robin strategy.
 
-`benchmarks/bench_solver.py` measures the engine rewrite against the
-solver this repository seeded with: per-visit `flow_in`/`flow_out`
-adjacency filtering, frozenset meets, no transfer short-circuit, and
-only the roundrobin/worklist strategies.  Keeping the original
-implementation verbatim (modulo imports) makes the speedup numbers in
-`BENCH_solver.json` an apples-to-apples "vs. the seed solver"
-comparison that later PRs can extend instead of re-deriving.
+The solver this repository seeded with: per-visit `flow_in`/`flow_out`
+adjacency filtering, facts in the problem's own representation
+(frozensets for set problems), no transfer short-circuit.  It has two
+jobs:
 
-Do not import this module from `src/` — it exists only for the perf
-trajectory benchmarks.
+* the correctness reference — the tests compare the live solver, which
+  runs set problems on bitset facts, against this plain frozenset
+  fixed point (`tests/test_solver_equivalence.py`,
+  `tests/test_kernel_equivalence.py`, `tests/test_incremental.py`, ...);
+* the speed baseline — `benchmarks/bench_solver.py` and
+  `check_regression.py` time the live engine against it, so the
+  speedups in `BENCH_solver.json` are an apples-to-apples "vs. the
+  seed solver" comparison.
+
+Keep it frozen (the seed's worklist strategy was dropped when the live
+solver retired it); do not import this module from `src/`.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Optional, TypeVar
 
 from repro.cfg.graph import FlowGraph
@@ -25,7 +30,7 @@ __all__ = ["seed_solve"]
 F = TypeVar("F")
 C = TypeVar("C")
 
-#: Hard cap on round-robin passes / worklist visits per node; hitting it
+#: Hard cap on round-robin passes; hitting it
 #: indicates a non-monotone transfer function (a bug), not a big input.
 MAX_PASSES = 10_000
 
@@ -72,20 +77,10 @@ class _Engine:
     def upstream_node(self, edge) -> int:
         return edge.src if self.forward else edge.dst
 
-    def downstream_nodes(self, nid: int) -> list[int]:
-        if self.forward:
-            return [e.dst for e in self.graph.flow_out(nid)]
-        return [e.src for e in self.graph.flow_in(nid)]
-
     def comm_upstream(self, nid: int) -> list[int]:
         if self.forward:
             return self.graph.comm_preds(nid)
         return self.graph.comm_succs(nid)
-
-    def comm_downstream(self, nid: int) -> list[int]:
-        if self.forward:
-            return self.graph.comm_succs(nid)
-        return self.graph.comm_preds(nid)
 
     # -- the fixed-point equations ------------------------------------------
 
@@ -144,55 +139,23 @@ def _solve_roundrobin(engine: _Engine) -> tuple[int, int]:
     return passes, visits
 
 
-def _solve_worklist(engine: _Engine) -> tuple[int, int]:
-    work = deque(engine.order)
-    queued = set(engine.order)
-    visits = 0
-    limit = MAX_PASSES * max(1, len(engine.graph))
-    while work:
-        visits += 1
-        if visits > limit:
-            raise SolverError(
-                f"{engine.problem.name}: worklist exceeded {limit} visits"
-            )
-        nid = work.popleft()
-        queued.discard(nid)
-        before_changed, after_changed = engine.update(nid)
-        targets: list[int] = []
-        if after_changed:
-            targets.extend(engine.downstream_nodes(nid))
-        if engine.use_comm and before_changed:
-            targets.extend(engine.comm_downstream(nid))
-        for t in targets:
-            if t not in queued:
-                queued.add(t)
-                work.append(t)
-    return 0, visits
-
-
 def seed_solve(
     graph: FlowGraph,
     entry: int | list[int],
     exit_: int | list[int],
     problem: DataFlowProblem,
-    strategy: str = "roundrobin",
 ) -> DataflowResult:
-    """Run ``problem`` to a fixed point over ``graph``.
+    """Run ``problem`` to a fixed point over ``graph`` by round-robin
+    passes.
 
     ``entry``/``exit_`` are the root procedure's ENTRY and EXIT node
     ids (the analysis boundary); the two-copy baseline passes lists —
-    one entry/exit per process copy.  ``strategy`` is ``"roundrobin"``
-    or ``"worklist"``.
+    one entry/exit per process copy.
     """
     entries = [entry] if isinstance(entry, int) else list(entry)
     exits = [exit_] if isinstance(exit_, int) else list(exit_)
     engine = _Engine(graph, entries, exits, problem)
-    if strategy == "roundrobin":
-        passes, visits = _solve_roundrobin(engine)
-    elif strategy == "worklist":
-        passes, visits = _solve_worklist(engine)
-    else:
-        raise ValueError(f"unknown solver strategy {strategy!r}")
+    passes, visits = _solve_roundrobin(engine)
     return DataflowResult(
         problem_name=problem.name,
         direction=problem.direction,
@@ -200,5 +163,5 @@ def seed_solve(
         after=engine.after,
         iterations=passes,
         visits=visits,
-        solver=strategy,
+        solver="roundrobin",
     )

@@ -75,7 +75,6 @@ def activity_analysis(
     dependents: Sequence[str],
     mpi_model: MpiModel = MpiModel.COMM_EDGES,
     strategy: str = "roundrobin",
-    backend: str = "auto",
     record_convergence: bool = False,
     record_provenance: bool = False,
 ) -> ActivityResult:
@@ -101,7 +100,6 @@ def activity_analysis(
             independents,
             mpi_model,
             strategy=strategy,
-            backend=backend,
             universe=universe,
             record_convergence=record_convergence,
             record_provenance=record_provenance,
@@ -111,7 +109,6 @@ def activity_analysis(
             dependents,
             mpi_model,
             strategy=strategy,
-            backend=backend,
             universe=universe,
             record_convergence=record_convergence,
             record_provenance=record_provenance,

@@ -88,7 +88,6 @@ def liveness_analysis(
     icfg: ICFG,
     live_out: Sequence[str] = (),
     strategy: str = "roundrobin",
-    backend: str = "auto",
     record_convergence: bool = False,
     record_provenance: bool = False,
 ) -> DataflowResult:
@@ -100,7 +99,6 @@ def liveness_analysis(
         exit_,
         problem,
         strategy=strategy,
-        backend=backend,
         record_convergence=record_convergence,
         record_provenance=record_provenance,
     )

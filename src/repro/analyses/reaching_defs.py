@@ -142,7 +142,6 @@ class ReachingDefsProblem(KernelProblem):
 def reaching_defs_analysis(
     icfg: ICFG,
     strategy: str = "roundrobin",
-    backend: str = "auto",
     record_convergence: bool = False,
     record_provenance: bool = False,
 ) -> DataflowResult:
@@ -154,7 +153,6 @@ def reaching_defs_analysis(
         exit_,
         problem,
         strategy=strategy,
-        backend=backend,
         record_convergence=record_convergence,
         record_provenance=record_provenance,
     )

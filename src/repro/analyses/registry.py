@@ -71,7 +71,6 @@ class AnalyzeRequest:
     dependents: Tuple[str, ...] = ()
     mpi_model: MpiModel = MpiModel.COMM_EDGES
     strategy: str = "roundrobin"
-    backend: str = "auto"
     record_provenance: bool = False
     #: Demand-driven point query, ``"NODE[:FACT]"`` — solve only the
     #: queried node's dependency slice instead of the whole graph.
@@ -229,7 +228,6 @@ def _run_vary(icfg, req):
         req.independents,
         req.mpi_model,
         strategy=req.strategy,
-        backend=req.backend,
         record_provenance=req.record_provenance,
     )
 
@@ -240,7 +238,6 @@ def _run_useful(icfg, req):
         req.dependents,
         req.mpi_model,
         strategy=req.strategy,
-        backend=req.backend,
         record_provenance=req.record_provenance,
     )
 
@@ -252,7 +249,6 @@ def _run_activity(icfg, req):
         req.dependents,
         req.mpi_model,
         strategy=req.strategy,
-        backend=req.backend,
         record_provenance=req.record_provenance,
     )
 
@@ -263,7 +259,6 @@ def _run_taint(icfg, req):
         boundary_seeds=req.independents,
         mpi_model=req.mpi_model,
         strategy=req.strategy,
-        backend=req.backend,
         record_provenance=req.record_provenance,
     )
 
@@ -273,7 +268,6 @@ def _run_liveness(icfg, req):
         icfg,
         live_out=req.dependents,
         strategy=req.strategy,
-        backend=req.backend,
         record_provenance=req.record_provenance,
     )
 
@@ -282,7 +276,6 @@ def _run_reaching_defs(icfg, req):
     return reaching_defs_analysis(
         icfg,
         strategy=req.strategy,
-        backend=req.backend,
         record_provenance=req.record_provenance,
     )
 
@@ -504,7 +497,6 @@ def run_query(entry: AnalysisEntry, icfg: ICFG, req: AnalyzeRequest) -> QueryRes
         entry.make_problem(icfg, req),
         node,
         fact,
-        backend=req.backend,
     )
 
 

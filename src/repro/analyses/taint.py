@@ -21,7 +21,7 @@ untrusted", or a slicing criterion).  Node seeds ride the kernel's
 
 Defined declaratively as :data:`TAINT_SPEC`; the kernel
 (:mod:`repro.dataflow.kernel`) supplies the interprocedural renaming,
-the MPI-model dispatch, and the bitset backend.
+the MPI-model dispatch, and the bitset fact path.
 """
 
 from __future__ import annotations
@@ -161,7 +161,6 @@ def taint_analysis(
     mpi_model: MpiModel = MpiModel.COMM_EDGES,
     untrusted_channel: bool = False,
     strategy: str = "roundrobin",
-    backend: str = "auto",
     universe=None,
     record_convergence: bool = False,
     record_provenance: bool = False,
@@ -177,7 +176,6 @@ def taint_analysis(
         exit_,
         problem,
         strategy=strategy,
-        backend=backend,
         universe=universe,
         record_convergence=record_convergence,
         record_provenance=record_provenance,

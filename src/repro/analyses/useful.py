@@ -9,7 +9,7 @@ any communication successor reports true.
 
 Defined declaratively as :data:`USEFUL_SPEC`; the kernel
 (:mod:`repro.dataflow.kernel`) supplies the interprocedural renaming,
-the MPI-model dispatch, and the bitset backend.  Remember the
+the MPI-model dispatch, and the bitset fact path.  Remember the
 orientation: the solver's ``before`` is the program-order OUT set and
 the transfer rules produce the program-order IN set.
 """
@@ -144,7 +144,6 @@ def useful_analysis(
     dependents: Sequence[str],
     mpi_model: MpiModel = MpiModel.COMM_EDGES,
     strategy: str = "roundrobin",
-    backend: str = "auto",
     universe=None,
     record_convergence: bool = False,
     record_provenance: bool = False,
@@ -163,7 +162,6 @@ def useful_analysis(
         exit_,
         problem,
         strategy=strategy,
-        backend=backend,
         universe=universe,
         record_convergence=record_convergence,
         record_provenance=record_provenance,

@@ -8,7 +8,7 @@ OUT iff any incoming communication edge carries true.
 
 Defined declaratively as :data:`VARY_SPEC`; the kernel
 (:mod:`repro.dataflow.kernel`) supplies the interprocedural renaming,
-the MPI-model dispatch, and the bitset backend.
+the MPI-model dispatch, and the bitset fact path.
 """
 
 from __future__ import annotations
@@ -172,7 +172,6 @@ def vary_analysis(
     independents: Sequence[str],
     mpi_model: MpiModel = MpiModel.COMM_EDGES,
     strategy: str = "roundrobin",
-    backend: str = "auto",
     universe=None,
     record_convergence: bool = False,
     record_provenance: bool = False,
@@ -191,7 +190,6 @@ def vary_analysis(
         exit_,
         problem,
         strategy=strategy,
-        backend=backend,
         universe=universe,
         record_convergence=record_convergence,
         record_provenance=record_provenance,

@@ -49,6 +49,7 @@ from .analyses import (
 from .analyses.slicing import backward_slice
 from .cfg import build_icfg, to_dot
 from .cfg.node import AssignNode
+from .dataflow import STRATEGIES
 from .ir import parse_program, print_program, validate_program
 from .mpi import build_mpi_icfg
 from .runtime import DeadlockError, LatencyModel, RunConfig, run_spmd
@@ -128,12 +129,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=[m.value for m in MpiModel],
         default="comm-edges",
         help="MPI communication model (default: %(default)s)",
-    )
-    p.add_argument(
-        "--backend",
-        choices=["auto", "native", "bitset"],
-        default="auto",
-        help="solver fact backend (default: %(default)s)",
     )
     p.add_argument(
         "--query",
@@ -326,12 +321,6 @@ def build_parser() -> argparse.ArgumentParser:
         "any explainable registry analysis (default: %(default)s)",
     )
     p.add_argument(
-        "--backend",
-        choices=["auto", "native", "bitset"],
-        default="auto",
-        help="solver fact backend (default: %(default)s)",
-    )
-    p.add_argument(
         "--html",
         metavar="FILE",
         help="also write the chains as a self-contained HTML report",
@@ -481,7 +470,7 @@ def _add_bench_source(p: argparse.ArgumentParser) -> None:
     p.add_argument("--dependent", action="append", dest="dependents", default=[])
     p.add_argument(
         "--strategy",
-        choices=["roundrobin", "worklist", "priority"],
+        choices=list(STRATEGIES),
         default="roundrobin",
         help="solver strategy (default: %(default)s)",
     )
@@ -587,7 +576,6 @@ def _cmd_analyze(args) -> int:
         dependents=tuple(args.dependents) or tuple(spec.dependents),
         mpi_model=model,
         strategy=args.strategy,
-        backend=args.backend,
         query=args.query,
     )
     result = registry.run_entry(entry, icfg, req)
@@ -1138,7 +1126,6 @@ def _explain_registry_arm(args, spec, arm_label, arm, chains) -> int:
         dependents=tuple(spec.dependents),
         mpi_model=model,
         strategy=args.strategy,
-        backend=args.backend,
         record_provenance=True,
     )
     solved = run_entry(entry, arm.icfg, req)
@@ -1170,7 +1157,6 @@ def _cmd_explain(args) -> int:
     row = run_benchmark(
         spec,
         strategy=args.strategy,
-        backend=args.backend,
         record_provenance=True,
     )
     arms = {

@@ -19,7 +19,7 @@ from .lattice import (
     env_set,
     set_meet,
 )
-from .solver import BACKENDS, MAX_PASSES, STRATEGIES, SolverError, solve
+from .solver import MAX_PASSES, STRATEGIES, SolverError, solve
 
 # The kernel imports lazily from repro.analyses.mpi_model, so it must
 # come after the core modules above are fully initialized.
@@ -43,7 +43,6 @@ __all__ = [
     "SolverError",
     "MAX_PASSES",
     "STRATEGIES",
-    "BACKENDS",
     "BitsetFacts",
     "BitsetAdapter",
     "FactUniverse",

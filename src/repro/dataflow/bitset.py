@@ -16,7 +16,7 @@ Three pieces live here:
 * :class:`BitsetFacts` — the opt-in marker mixin.  Subclassing it
   declares "my facts are frozensets of hashable atoms, my meet is
   union, my ``top`` is empty, and my hooks are pure", which is what
-  the solver needs to run the problem on the bitset backend without
+  the solver needs to run the problem on int bitmask facts without
   any semantic change;
 * :class:`BitsetAdapter` — the wrapper the solver applies: it presents
   an int-fact :class:`DataFlowProblem` whose transfer/edge/comm hooks
@@ -25,8 +25,9 @@ Three pieces live here:
 
 The adapter is created fresh per :func:`repro.dataflow.solver.solve`
 call, so memo tables never leak across solves, and the final result is
-decoded back to ``frozenset``s — fixed points are bit-identical to the
-native backend's.
+decoded back to ``frozenset``s — fixed points are bit-identical to a
+plain frozenset solve (``benchmarks/seed_solver.py`` keeps one as the
+reference the tests compare against).
 """
 
 from __future__ import annotations
@@ -99,7 +100,7 @@ class FactUniverse:
 
 
 class BitsetFacts:
-    """Opt-in marker mixin for the solver's bitset backend.
+    """Opt-in marker mixin for the solver's bitmask fact path.
 
     A :class:`~repro.dataflow.framework.DataFlowProblem` may subclass
     this when all of the following hold (they do for every set-based
@@ -115,11 +116,11 @@ class BitsetFacts:
     * ``edge_fact`` is the identity on FLOW edges (set
       :attr:`flow_identity` to ``False`` if yours is not).
 
-    The mixin changes nothing by itself — it only sets
-    :attr:`bitset_capable`, which ``solve(..., backend="auto")`` reads.
+    The mixin changes nothing by itself: the solver runs every
+    subclass on a :class:`BitsetAdapter`, and every other problem on its
+    own fact type.
     """
 
-    bitset_capable = True
     #: FLOW-edge ``edge_fact`` is the identity, so the adapter may skip
     #: the call entirely on the hot path.
     flow_identity = True
@@ -146,7 +147,7 @@ class BitsetAdapter(DataFlowProblem):
     def __init__(
         self, inner: DataFlowProblem, universe: Optional[FactUniverse] = None
     ):
-        if not getattr(inner, "bitset_capable", False):
+        if not isinstance(inner, BitsetFacts):
             raise ValueError(
                 f"{inner.name}: not bitset-capable (subclass BitsetFacts "
                 "to declare set-lattice semantics)"

@@ -144,12 +144,14 @@ class SolverStats:
 
     ``wall_time_s`` covers the whole solve — engine setup (adjacency
     precompute, SCC priorities), the fixed-point loop, and result
-    decoding for the bitset backend — so backends compare fairly.
-    ``meets`` counts binary meet applications, ``transfers`` counts
-    node transfer-function evaluations (cache hits included under the
-    bitset backend: the equations were still evaluated), and
-    ``comm_requeues`` counts nodes rescheduled because a communication
-    source's *before* fact changed.
+    decoding for bitset problems.  ``backend`` reports which fact
+    path ran: ``"bitset"`` for problems that subclass
+    :class:`~repro.dataflow.bitset.BitsetFacts`, ``"native"`` for the
+    rest; the problem's type decides it.  ``meets`` counts binary meet
+    applications, ``transfers`` counts node transfer-function
+    evaluations (cache hits included on the bitset path: the equations
+    were still evaluated), and ``comm_requeues`` counts nodes
+    rescheduled because a communication source's *before* fact changed.
     """
 
     strategy: str

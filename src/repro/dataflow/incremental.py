@@ -44,7 +44,7 @@ then costs only the *dirty cone*:
    maps.
 
 The result is byte-identical to a cold solve on the mutated graph, for
-both the native and bitset backends (the shared universe keeps retained
+bitset and generic problems alike (the shared universe keeps retained
 bitmask facts valid; per-node transfer memos are dropped for payload
 edits, and the whole problem is rebuilt via ``problem_factory`` when
 CALL/RETURN structure — the interprocedural renaming tables — changes).
@@ -79,7 +79,6 @@ from .framework import (
     SolverStats,
 )
 from .solver import (
-    BACKENDS,
     MAX_PASSES,
     STRATEGIES,
     SolverError,
@@ -87,6 +86,7 @@ from .solver import (
     _GraphView,
     _STRATEGY_FNS,
     _tarjan_sccs,
+    uses_bitset,
 )
 
 __all__ = ["IncrementalSolver", "solve_query"]
@@ -97,18 +97,6 @@ __all__ = ["IncrementalSolver", "solve_query"]
 _INTERPROC_KINDS = frozenset(
     (EdgeKind.CALL, EdgeKind.RETURN, EdgeKind.CALL_TO_RETURN)
 )
-
-
-def _resolve_backend(problem: DataFlowProblem, backend: str) -> bool:
-    if backend == "auto":
-        return bool(getattr(problem, "bitset_capable", False))
-    if backend == "bitset":
-        return True
-    if backend == "native":
-        return False
-    raise ValueError(
-        f"unknown fact backend {backend!r}; expected one of {BACKENDS}"
-    )
 
 
 def _solve_region(
@@ -281,7 +269,6 @@ class IncrementalSolver:
         exit_,
         problem_factory: Callable[[], DataFlowProblem],
         strategy: str = "priority",
-        backend: str = "auto",
         universe: Optional[FactUniverse] = None,
     ):
         if strategy not in STRATEGIES:
@@ -294,7 +281,7 @@ class IncrementalSolver:
         self.problem_factory = problem_factory
         self.strategy = strategy
         probe = problem_factory()
-        self.use_bitset = _resolve_backend(probe, backend)
+        self.use_bitset = uses_bitset(probe)
         self.universe = (
             universe
             if universe is not None
@@ -564,7 +551,6 @@ def solve_query(
     problem: DataFlowProblem,
     node: int,
     fact: Optional[str] = None,
-    backend: str = "auto",
     universe: Optional[FactUniverse] = None,
 ) -> QueryResult:
     """Solve ``problem`` only over ``node``'s dependency slice.
@@ -584,7 +570,7 @@ def solve_query(
     """
     if node not in graph:
         raise KeyError(f"unknown node id {node}")
-    use_bitset = _resolve_backend(problem, backend)
+    use_bitset = uses_bitset(problem)
     entries = [entry] if isinstance(entry, int) else list(entry)
     exits = [exit_] if isinstance(exit_, int) else list(exit_)
     t0 = time.perf_counter()

@@ -6,7 +6,7 @@ transfer function.  Every set-based client in :mod:`repro.analyses`
 shares the rest — the interprocedural CALL/RETURN renaming over
 :class:`~repro.dataflow.interproc.InterprocMaps`, the four
 :class:`~repro.analyses.mpi_model.MpiModel` treatments of an MPI call,
-seed qualification, and the bitset backend opt-in.  This module
+seed qualification, and the bitset fact opt-in.  This module
 supplies that shared machinery once:
 
 * :class:`AnalysisSpec` — a frozen, declarative description of one

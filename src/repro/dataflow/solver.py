@@ -1,14 +1,10 @@
 """Iterative solvers for :class:`~repro.dataflow.framework.DataFlowProblem`.
 
-Three strategies over the same fixed-point equations:
+Two strategies over the same fixed-point equations:
 
 * ``"roundrobin"`` — full passes over the graph in (reverse) reverse
   postorder until nothing changes.  The pass count is directly
   comparable to the paper's Table 1 ``Iter`` column.
-* ``"worklist"`` — classic FIFO worklist with communication-dependency
-  re-queueing: when the *before* fact of a communication source
-  changes, its communication successors are rescheduled (their
-  transfer consumes ``f_comm(before(source))``).
 * ``"priority"`` — SCC-condensation worklist: Tarjan's algorithm over
   the direction-oriented flow *and* communication edges condenses the
   graph into strongly connected components, nodes are ranked by the
@@ -16,20 +12,24 @@ Three strategies over the same fixed-point equations:
   component), and a min-heap drains pending work in rank order.  Inner
   loops therefore iterate to their local fixed point before downstream
   regions are touched, instead of re-visiting downstream nodes once
-  per upstream lattice step.
+  per upstream lattice step.  When the *before* fact of a
+  communication source changes, its communication successors are
+  re-queued (their transfer consumes ``f_comm(before(source))``).
 
-All strategies handle COMM edges per the paper: data-flow information
+Both strategies handle COMM edges per the paper: data-flow information
 crosses a communication edge only as the analysis-specific
 communication value, never as the full node fact.
 
-Fact backends
--------------
-``solve`` additionally selects a *fact backend*.  Problems that
-subclass :class:`~repro.dataflow.bitset.BitsetFacts` (set facts,
-union meet) are transparently wrapped in a
+Fact representation
+-------------------
+The problem's lattice type decides how facts are carried.  Problems
+that subclass :class:`~repro.dataflow.bitset.BitsetFacts` (set facts,
+union meet) are wrapped in a
 :class:`~repro.dataflow.bitset.BitsetAdapter` so meets and equality
-run as Python-int bitwise ops with memoised transfers; the fixed point
-is decoded back to ``frozenset``s, bit-identical to the native run.
+run as Python-int bitwise ops; the fixed point is decoded back to
+``frozenset``s.  Every other problem (reaching constants, bitwidth)
+runs on its own fact type.  ``SolverStats.backend`` reports which path
+ran (``"bitset"`` or ``"native"``).
 
 The engine precomputes direction-split flow and communication
 adjacency once per solve, so the inner loop never re-filters the
@@ -41,7 +41,6 @@ from __future__ import annotations
 import heapq
 import time
 import weakref
-from collections import deque
 from typing import Iterable, Optional, TypeVar
 
 from ..cfg.graph import FlowGraph
@@ -49,10 +48,10 @@ from ..cfg.node import EdgeKind
 from ..obs import get_metrics, get_tracer
 from ..obs.convergence import ConvergenceRecorder
 from ..obs.provenance import ProvenanceRecorder
-from .bitset import BitsetAdapter, FactUniverse
+from .bitset import BitsetAdapter, BitsetFacts, FactUniverse
 from .framework import DataFlowProblem, DataflowResult, Direction, SolverStats
 
-__all__ = ["solve", "SolverError", "STRATEGIES", "BACKENDS"]
+__all__ = ["solve", "SolverError", "STRATEGIES", "uses_bitset"]
 
 #: Fixed bucket edges for the ``repro.solve.passes`` / ``.visits``
 #: histograms (no wall-clock dependence — snapshots are reproducible).
@@ -62,12 +61,18 @@ VISIT_BUCKETS = (10, 100, 1_000, 10_000, 100_000, 1_000_000)
 F = TypeVar("F")
 C = TypeVar("C")
 
-#: Hard cap on round-robin passes / worklist visits per node; hitting it
+#: Hard cap on round-robin passes / priority visits per node; hitting it
 #: indicates a non-monotone transfer function (a bug), not a big input.
 MAX_PASSES = 10_000
 
-STRATEGIES = ("roundrobin", "worklist", "priority")
-BACKENDS = ("auto", "native", "bitset")
+STRATEGIES = ("roundrobin", "priority")
+
+
+def uses_bitset(problem: DataFlowProblem) -> bool:
+    """Whether ``problem`` runs on int bitmask facts: exactly the
+    problems that declare set-lattice semantics via
+    :class:`~repro.dataflow.bitset.BitsetFacts`."""
+    return isinstance(problem, BitsetFacts)
 
 
 class SolverError(RuntimeError):
@@ -404,35 +409,6 @@ def _solve_roundrobin(engine: _Engine) -> tuple[int, int]:
     return passes, visits
 
 
-def _solve_worklist(engine: _Engine) -> tuple[int, int]:
-    work = deque(engine.order)
-    queued = set(engine.order)
-    visits = 0
-    limit = MAX_PASSES * max(1, len(engine.graph))
-    use_comm = engine.use_comm
-    while work:
-        visits += 1
-        if visits > limit:
-            raise SolverError(
-                f"{engine.problem.name}: worklist exceeded {limit} visits"
-            )
-        nid = work.popleft()
-        queued.discard(nid)
-        before_changed, after_changed = engine.update(nid)
-        if after_changed:
-            for t in engine.downstream[nid]:
-                if t not in queued:
-                    queued.add(t)
-                    work.append(t)
-        if use_comm and before_changed:
-            for t in engine.comm_downstream[nid]:
-                if t not in queued:
-                    queued.add(t)
-                    work.append(t)
-                    engine.comm_requeues += 1
-    return 0, visits
-
-
 def _solve_priority(engine: _Engine) -> tuple[int, int]:
     ranks = engine.priority_ranks()
     heap = [(ranks[nid], nid) for nid in engine.order]
@@ -469,7 +445,6 @@ def _solve_priority(engine: _Engine) -> tuple[int, int]:
 
 _STRATEGY_FNS = {
     "roundrobin": _solve_roundrobin,
-    "worklist": _solve_worklist,
     "priority": _solve_priority,
 }
 
@@ -480,7 +455,6 @@ def solve(
     exit_: int | list[int],
     problem: DataFlowProblem,
     strategy: str = "roundrobin",
-    backend: str = "auto",
     universe: Optional[FactUniverse] = None,
     record_convergence: bool = False,
     record_provenance: bool = False,
@@ -489,18 +463,16 @@ def solve(
 
     ``entry``/``exit_`` are the root procedure's ENTRY and EXIT node
     ids (the analysis boundary); the two-copy baseline passes lists —
-    one entry/exit per process copy.  ``strategy`` is ``"roundrobin"``,
-    ``"worklist"`` or ``"priority"``; ``backend`` is ``"auto"`` (bitset
-    when the problem subclasses
-    :class:`~repro.dataflow.bitset.BitsetFacts`, native otherwise),
-    ``"native"`` or ``"bitset"``.  All strategy × backend combinations
-    reach the same fixed point; the returned facts are always in the
-    problem's native representation.
+    one entry/exit per process copy.  ``strategy`` is ``"roundrobin"``
+    or ``"priority"``; both reach the same fixed point.  Problems that
+    subclass :class:`~repro.dataflow.bitset.BitsetFacts` run on int
+    bitmask facts (:func:`uses_bitset`); the returned facts are always
+    in the problem's own representation.
 
     ``universe`` optionally supplies a shared
-    :class:`~repro.dataflow.bitset.FactUniverse` for the bitset
-    backend, so related solves over the same variable population reuse
-    one atom ↔ bit interning (ignored on the native backend).
+    :class:`~repro.dataflow.bitset.FactUniverse` for bitset problems,
+    so related solves over the same variable population reuse one
+    atom ↔ bit interning (ignored for other problems).
 
     ``record_convergence=True`` attaches a
     :class:`~repro.obs.convergence.ConvergenceTrace` to the result —
@@ -522,16 +494,7 @@ def solve(
         raise ValueError(
             f"unknown solver strategy {strategy!r}; expected one of {STRATEGIES}"
         ) from None
-    if backend == "auto":
-        use_bitset = getattr(problem, "bitset_capable", False)
-    elif backend == "bitset":
-        use_bitset = True
-    elif backend == "native":
-        use_bitset = False
-    else:
-        raise ValueError(
-            f"unknown fact backend {backend!r}; expected one of {BACKENDS}"
-        )
+    use_bitset = uses_bitset(problem)
     entries = [entry] if isinstance(entry, int) else list(entry)
     exits = [exit_] if isinstance(exit_, int) else list(exit_)
 

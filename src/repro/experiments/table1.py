@@ -60,7 +60,6 @@ def run_benchmark(
     match: Optional[MatchResult] = None,
     record_convergence: bool = False,
     record_provenance: bool = False,
-    backend: str = "auto",
 ) -> Table1Row:
     """Run the ICFG and MPI-ICFG activity analyses for one row.
 
@@ -88,7 +87,6 @@ def run_benchmark(
                 spec.dependents,
                 MpiModel.GLOBAL_BUFFER,
                 strategy=strategy,
-                backend=backend,
                 record_convergence=record_convergence,
                 record_provenance=record_provenance,
             )
@@ -102,7 +100,6 @@ def run_benchmark(
                 spec.dependents,
                 MpiModel.COMM_EDGES,
                 strategy=strategy,
-                backend=backend,
                 record_convergence=record_convergence,
                 record_provenance=record_provenance,
             )

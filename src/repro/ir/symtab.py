@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
-from .ast_nodes import Procedure, Program, VarDecl
+from .ast_nodes import Procedure, Program, SourceLoc, VarDecl
 from .types import Type
 
 __all__ = [
@@ -85,6 +85,24 @@ class Symbol:
         return self.type.sizeof()
 
 
+class ValidationError(ValueError):
+    """One or more semantic errors in an SPL program.
+
+    Raised by :func:`repro.ir.validate.validate_program`, and by the
+    symbol table itself for duplicate declarations.
+    """
+
+    def __init__(self, errors: list[str]):
+        self.errors = errors
+        super().__init__("\n".join(errors))
+
+
+def positioned(loc: Optional[SourceLoc], message: str) -> str:
+    """``message`` prefixed with ``L:C: `` when ``loc`` is known."""
+    prefix = f"{loc}: " if loc and (loc.line or loc.col) else ""
+    return prefix + message
+
+
 class ProcSymbols:
     """Symbols visible inside one procedure: params, locals, globals."""
 
@@ -94,20 +112,29 @@ class ProcSymbols:
         self.params: dict[str, Symbol] = {}
         self.locals: dict[str, Symbol] = {}
 
-    def add_param(self, name: str, ty: Type) -> Symbol:
+    def _check_fresh(self, name: str, loc: Optional[SourceLoc]) -> None:
         if name in self.params or name in self.locals:
-            raise ValueError(
-                f"duplicate declaration of {name!r} in {self.proc_name!r}"
+            raise ValidationError(
+                [
+                    positioned(
+                        loc,
+                        f"duplicate declaration of {name!r} in {self.proc_name!r}",
+                    )
+                ]
             )
+
+    def add_param(
+        self, name: str, ty: Type, loc: Optional[SourceLoc] = None
+    ) -> Symbol:
+        self._check_fresh(name, loc)
         sym = Symbol(name, ty, "param", self.proc_name, self.origin_proc)
         self.params[name] = sym
         return sym
 
-    def add_local(self, name: str, ty: Type) -> Symbol:
-        if name in self.params or name in self.locals:
-            raise ValueError(
-                f"duplicate declaration of {name!r} in {self.proc_name!r}"
-            )
+    def add_local(
+        self, name: str, ty: Type, loc: Optional[SourceLoc] = None
+    ) -> Symbol:
+        self._check_fresh(name, loc)
         sym = Symbol(name, ty, "local", self.proc_name, self.origin_proc)
         self.locals[name] = sym
         return sym
@@ -138,7 +165,9 @@ class SymbolTable:
         self.procs: dict[str, ProcSymbols] = {}
         for decl in program.globals:
             if decl.name in self.globals:
-                raise ValueError(f"duplicate global {decl.name!r}")
+                raise ValidationError(
+                    [positioned(decl.loc, f"duplicate global {decl.name!r}")]
+                )
             self.globals[decl.name] = Symbol(decl.name, decl.type, "global", "")
         for proc in program.procedures:
             self.procs[proc.name] = self._build_proc(proc)
@@ -147,11 +176,11 @@ class SymbolTable:
     def _build_proc(proc: Procedure, clone_name: Optional[str] = None) -> ProcSymbols:
         ps = ProcSymbols(clone_name or proc.name, origin_proc=proc.name)
         for p in proc.params:
-            ps.add_param(p.name, p.type)
+            ps.add_param(p.name, p.type, p.loc)
         for decl in proc.local_decls():
             # Re-declaration inside nested blocks is rejected: SPL has
             # flat, procedure-wide scoping like Fortran.
-            ps.add_local(decl.name, decl.type)
+            ps.add_local(decl.name, decl.type, decl.loc)
         return ps
 
     def add_clone(self, original: str, clone_name: str) -> ProcSymbols:

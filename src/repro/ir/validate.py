@@ -43,7 +43,7 @@ from .ast_nodes import (
 )
 from .intrinsics import INTRINSICS
 from .mpi_ops import ArgRole, COMM_WORLD_NAME, MPI_OPS, REDUCE_OPS
-from .symtab import SymbolTable
+from .symtab import SymbolTable, ValidationError, positioned
 from .types import ArrayType, BOOL, INT, REAL, BoolType, IntType, RealType, Type
 
 __all__ = ["ValidationError", "validate_program", "TypeChecker"]
@@ -51,14 +51,6 @@ __all__ = ["ValidationError", "validate_program", "TypeChecker"]
 _ARITH = ("+", "-", "*", "/", "**")
 _CMP = ("==", "!=", "<", "<=", ">", ">=")
 _LOGIC = ("and", "or")
-
-
-class ValidationError(ValueError):
-    """One or more semantic errors in an SPL program."""
-
-    def __init__(self, errors: list[str]):
-        self.errors = errors
-        super().__init__("\n".join(errors))
 
 
 def _is_numeric(ty: Type) -> bool:
@@ -79,9 +71,7 @@ class TypeChecker:
     # -- error helpers ---------------------------------------------------
 
     def error(self, node, message: str) -> None:
-        loc = getattr(node, "loc", None)
-        prefix = f"{loc}: " if loc and (loc.line or loc.col) else ""
-        self.errors.append(prefix + message)
+        self.errors.append(positioned(getattr(node, "loc", None), message))
 
     # -- expression typing -----------------------------------------------
 
@@ -583,8 +573,8 @@ def validate_program(program: Program) -> SymbolTable:
     """Validate ``program``; returns its symbol table on success.
 
     Raises :class:`ValidationError` listing every problem found, or
-    ``ValueError`` for duplicate declarations (detected while building
-    the symbol table).
+    naming the first duplicate declaration (detected while building the
+    symbol table, before any other check).
     """
     symtab = SymbolTable(program)
     checker = TypeChecker(symtab)

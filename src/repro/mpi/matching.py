@@ -122,7 +122,6 @@ class MatchOptions:
     use_constants: bool = True
     match_counts: bool = True
     rank_heuristics: bool = False
-    solver: str = "worklist"
 
 
 @dataclass(frozen=True)
@@ -255,25 +254,29 @@ def _counts_compatible(a: MpiNode, b: MpiNode, icfg: ICFG) -> bool:
     return ca == cb
 
 
-#: graph -> {(entry, exit, strategy): (graph version, fixed point)} —
-#: the matcher's reaching-constants solves, shared across repeated
-#: matching of the same graph and invalidated by graph mutation.
+#: Strategy of the matcher's private reaching-constants solve.  The
+#: fixed point is strategy-independent; ``priority`` visits fewest nodes.
+MATCH_SOLVER = "priority"
+
+#: graph -> {(entry, exit): (graph version, fixed point)} — the
+#: matcher's reaching-constants solves, shared across repeated matching
+#: of the same graph and invalidated by graph mutation.
 _RC_MEMO: "weakref.WeakKeyDictionary[FlowGraph, dict]" = (
     weakref.WeakKeyDictionary()
 )
 
 
-def _matching_constants(icfg: ICFG, solver: str) -> DataflowResult:
+def _matching_constants(icfg: ICFG) -> DataflowResult:
     """Reaching constants over ``icfg`` for argument evaluation.
 
-    Memoised per ``(graph, root boundary, solver strategy)`` and
+    Memoised per ``(graph, root boundary)`` and
     stamped with the graph's mutation version, so adding COMM edges (or
     any other mutation) forces a re-solve while back-to-back matches of
     an unchanged graph share one fixed point.
     """
     graph = icfg.graph
     entry, exit_ = icfg.entry_exit(icfg.root)
-    key = (entry, exit_, solver)
+    key = (entry, exit_)
     per_graph = _RC_MEMO.get(graph)
     if per_graph is None:
         per_graph = {}
@@ -282,8 +285,8 @@ def _matching_constants(icfg: ICFG, solver: str) -> DataflowResult:
     if hit is not None and hit[0] == graph.version:
         return hit[1]
     problem = ReachingConstantsProblem(icfg, MpiModel.IGNORE)
-    with get_tracer().span("match.reaching_constants", solver=solver):
-        result = solve(graph, entry, exit_, problem, strategy=solver)
+    with get_tracer().span("match.reaching_constants", solver=MATCH_SOLVER):
+        result = solve(graph, entry, exit_, problem, strategy=MATCH_SOLVER)
     per_graph[key] = (graph.version, result)
     return result
 
@@ -298,7 +301,7 @@ class _ArgValues:
                 for role in (ArgRole.TAG, ArgRole.COMM, ArgRole.ROOT):
                     self.values[(node.id, role)] = None
             return
-        result = _matching_constants(icfg, options.solver)
+        result = _matching_constants(icfg)
         for node in nodes:
             env = result.in_fact(node.id)
             for role in (ArgRole.TAG, ArgRole.COMM, ArgRole.ROOT):

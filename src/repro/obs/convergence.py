@@ -4,7 +4,7 @@ The paper's Table 1 compares fixed-point iteration counts over the
 ICFG vs the MPI-ICFG; this module records *why* a solve took the
 passes it did.  With ``solve(..., record_convergence=True)`` the
 engine feeds every node visit to a :class:`ConvergenceRecorder`:
-worklist visits per node, fact-set growth at each change, and the
+visits per node, fact-set growth at each change, and the
 pass/visit at which each node last changed (its stabilisation point).
 :func:`render_convergence` renders the per-node table used by
 ``repro trace --convergence`` to explain ICFG-vs-MPI-ICFG iteration
@@ -31,7 +31,7 @@ __all__ = [
 def fact_size(fact: object) -> Optional[int]:
     """Cardinality of a fact when it has one.
 
-    Bitset-backend facts are plain ints (popcount); set-like facts use
+    Bitset facts are plain ints (popcount); set-like facts use
     ``len``; anything else (constant environments report their binding
     count via ``len`` too) yields ``None`` when unsized.
     """
@@ -69,7 +69,7 @@ class ConvergenceTrace:
     passes: int
     visits: int
     #: Nodes whose after fact changed, per round-robin pass (empty for
-    #: worklist strategies, which have no pass structure).
+    #: the priority strategy, which has no pass structure).
     per_pass_changes: list[int]
     nodes: dict[int, NodeConvergence]
 
@@ -92,8 +92,8 @@ class ConvergenceRecorder:
         self.per_pass_changes: list[int] = []
 
     def next_pass(self) -> None:
-        """Round-robin pass boundary (worklist strategies never call
-        this; ``current_pass`` stays 0)."""
+        """Round-robin pass boundary (the priority strategy never
+        calls this; ``current_pass`` stays 0)."""
         self.current_pass += 1
         self.per_pass_changes.append(0)
 

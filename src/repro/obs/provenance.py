@@ -8,8 +8,8 @@ derivation chain makes that propagation inspectable fact by fact.
 
 With ``solve(..., record_provenance=True)`` the engine feeds every
 fact-changing visit to a :class:`ProvenanceRecorder`, which snapshots
-the node's *before*/*after* facts (immutable ``frozenset``s on the
-native backend, plain ints on the bitset backend — references are
+the node's *before*/*after* facts (immutable ``frozenset``s or
+constant environments, plain ints for bitset problems — references are
 shared, so memory is bounded by the number of changes).  The finished
 :class:`ProvenanceTrace` can then reconstruct, for any fact at any
 node, a minimal derivation chain back to a seed (boundary fact) or GEN
@@ -106,7 +106,7 @@ class ProvenanceEvent:
     """One fact-changing solver visit at one node."""
 
     index: int  #: global event order (1-based)
-    pass_: int  #: round-robin pass (0 under worklist strategies)
+    pass_: int  #: round-robin pass (0 under the priority strategy)
     before: Any  #: before fact at this visit (engine representation)
     after: Any  #: after fact produced by this visit
     comm: Any  #: met communication value consumed (None when absent)
@@ -355,8 +355,8 @@ class ProvenanceTrace:
         return getattr(self.problem, "universe", None)
 
     def _atom_key(self, atom: Any) -> Any:
-        """Internal membership key of one atom (bit index under the
-        bitset backend, the atom itself otherwise)."""
+        """Internal membership key of one atom (bit index for bitset
+        problems, the atom itself otherwise)."""
         if self.int_facts:
             return self._universe().bit_of(atom)
         return atom

@@ -54,7 +54,6 @@ def match_options_key(options: Optional[MatchOptions]) -> tuple:
         options.use_constants,
         options.match_counts,
         options.rank_heuristics,
-        options.solver,
     )
 
 
@@ -178,7 +177,7 @@ def analysis_key(name: str, program: Program, icfg: ICFG, req) -> tuple:
     """Cache key for a registry analysis run (see
     :mod:`repro.analyses.registry`).  Carries the graph's mutation
     version like :func:`rc_key`, plus every request knob that shapes
-    the fixed point (seeds, model, strategy, backend)."""
+    the fixed point (seeds, model, strategy)."""
     return (
         "analysis",
         name,
@@ -189,7 +188,6 @@ def analysis_key(name: str, program: Program, icfg: ICFG, req) -> tuple:
         tuple(req.dependents),
         req.mpi_model.value,
         req.strategy,
-        req.backend,
         req.record_provenance,
         getattr(req, "query", None),
         icfg.graph.version,

@@ -29,13 +29,12 @@ from dataclasses import asdict, dataclass
 from typing import Optional, Tuple
 
 from ..analyses.mpi_model import MpiModel
+from ..dataflow.solver import STRATEGIES
 
 __all__ = ["KINDS", "ServeError", "ServeRequest"]
 
 KINDS = ("analyze", "table1", "explain", "report")
 
-_STRATEGIES = ("roundrobin", "worklist", "priority")
-_BACKENDS = ("auto", "native", "bitset")
 
 
 class ServeError(ValueError):
@@ -63,7 +62,6 @@ class ServeRequest:
     dependents: Tuple[str, ...] = ()
     model: str = "comm-edges"
     strategy: str = "roundrobin"
-    backend: str = "auto"
     query: Optional[str] = None
     #: ``explain`` only: the fact to derive and (optionally) the node.
     fact: Optional[str] = None
@@ -80,7 +78,6 @@ class ServeRequest:
         "dependents",
         "model",
         "strategy",
-        "backend",
         "query",
         "fact",
         "node",
@@ -125,15 +122,10 @@ class ServeRequest:
                 f"unknown model {self.model!r}; expected one of "
                 f"{', '.join(m.value for m in MpiModel)}"
             )
-        if self.strategy not in _STRATEGIES:
+        if self.strategy not in STRATEGIES:
             raise ServeError(
                 f"unknown strategy {self.strategy!r}; expected one of "
-                f"{', '.join(_STRATEGIES)}"
-            )
-        if self.backend not in _BACKENDS:
-            raise ServeError(
-                f"unknown backend {self.backend!r}; expected one of "
-                f"{', '.join(_BACKENDS)}"
+                f"{', '.join(STRATEGIES)}"
             )
         if self.kind == "explain" and not self.fact:
             raise ServeError("explain requests need a 'fact'")
@@ -167,7 +159,6 @@ class ServeRequest:
             self.dependents,
             self.model,
             self.strategy,
-            self.backend,
             self.query,
             self.fact,
             self.node,

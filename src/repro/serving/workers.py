@@ -226,7 +226,6 @@ def _analyze_request(req: ServeRequest, state: _WarmState):
         dependents=req.dependents or tuple(state.spec.dependents),
         mpi_model=MpiModel(req.model),
         strategy=req.strategy,
-        backend=req.backend,
         query=req.query,
     )
 
@@ -238,7 +237,6 @@ def _solver_key(entry, areq) -> tuple:
         areq.dependents,
         areq.mpi_model.value,
         areq.strategy,
-        areq.backend,
     )
 
 
@@ -267,8 +265,7 @@ def _solve_analysis(entry, state: _WarmState, icfg: ICFG, areq):
                 icfg, areq
             ),
             strategy=areq.strategy,
-            backend=areq.backend,
-            universe=state.universe(arm) if areq.backend != "native" else None,
+            universe=state.universe(arm),
         )
         state.solvers[skey] = solver
     return solver.solve()
@@ -332,7 +329,6 @@ def _exec_table1(req: ServeRequest) -> tuple[str, str]:
         spec.independents,
         spec.dependents,
         req.strategy,
-        req.backend,
     )
 
     def build() -> str:
@@ -340,7 +336,6 @@ def _exec_table1(req: ServeRequest) -> tuple[str, str]:
         row = run_benchmark(
             spec,
             strategy=req.strategy,
-            backend=req.backend,
             icfg=state.mpi_icfg(),
             match=state.match(),
         )
@@ -358,7 +353,6 @@ def _activity_row(req: ServeRequest, state: _WarmState, **record) -> Table1Row:
     return run_benchmark(
         spec,
         strategy=req.strategy,
-        backend=req.backend,
         icfg=state.mpi_icfg(),
         match=state.match(),
         **record,

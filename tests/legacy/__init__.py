@@ -11,7 +11,9 @@ solver work counts against these, so do NOT update them when the live
 analyses change — that would defeat the comparison.
 
 Only the import statements were rewritten (relative → absolute); the
-class bodies are untouched.  The same frozen-baseline pattern is used
+class bodies are untouched.  The modules' convenience ``*_analysis``
+wrappers, which nothing called, were dropped together with the
+solver's ``backend`` parameter they forwarded.  The same frozen-baseline pattern is used
 by ``benchmarks/seed_solver.py`` for solver performance.
 """
 

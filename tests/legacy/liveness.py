@@ -16,10 +16,9 @@ from typing import Optional, Sequence
 from repro.cfg.icfg import ICFG
 from repro.cfg.node import AssignNode, BranchNode, Edge, EdgeKind, MpiNode, Node
 from repro.dataflow.bitset import BitsetFacts
-from repro.dataflow.framework import DataFlowProblem, DataflowResult, Direction
+from repro.dataflow.framework import DataFlowProblem, Direction
 from repro.dataflow.interproc import InterprocMaps
 from repro.dataflow.lattice import SetFact
-from repro.dataflow.solver import solve
 from repro.ir.ast_nodes import VarRef
 from repro.ir.mpi_ops import ArgRole, MpiKind
 from repro.ir.symtab import is_global_qname
@@ -107,16 +106,3 @@ class LivenessProblem(BitsetFacts, DataFlowProblem[SetFact, None]):
         if edge.kind is EdgeKind.CALL_TO_RETURN:
             return self.maps.locals_surviving_call(fact, site)
         return fact
-
-
-def liveness_analysis(
-    icfg: ICFG,
-    live_out: Sequence[str] = (),
-    strategy: str = "roundrobin",
-    backend: str = "auto",
-) -> DataflowResult:
-    problem = LivenessProblem(icfg, live_out)
-    entry, exit_ = icfg.entry_exit(icfg.root)
-    return solve(
-        icfg.graph, entry, exit_, problem, strategy=strategy, backend=backend
-    )

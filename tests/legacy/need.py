@@ -3,9 +3,9 @@
 Before the kernel port, :func:`repro.analyses.slicing.backward_slice`
 defined this problem as a closure class over ``icfg``/``criterion``/
 ``seeds``/``mpi_model``.  The factory below reproduces it verbatim for
-the equivalence tests.  Note it is *not* bitset-capable — the original
-ran on the native backend under ``backend="auto"`` — so comparisons
-must pin explicit backends.
+the equivalence tests.  Note it is *not* bitset-capable — it runs on
+frozenset facts while the kernel-hosted Need runs on bitset facts — so
+comparisons check facts and work counts, not ``SolverStats.backend``.
 """
 
 from __future__ import annotations

@@ -15,9 +15,8 @@ from typing import Optional
 from repro.cfg.icfg import ICFG
 from repro.cfg.node import AssignNode, Edge, EdgeKind, MpiNode, Node
 from repro.dataflow.bitset import BitsetFacts
-from repro.dataflow.framework import DataFlowProblem, DataflowResult, Direction
+from repro.dataflow.framework import DataFlowProblem, Direction
 from repro.dataflow.interproc import InterprocMaps
-from repro.dataflow.solver import solve
 from repro.ir.ast_nodes import VarRef
 from repro.ir.mpi_ops import ArgRole
 from repro.ir.symtab import is_global_qname
@@ -117,13 +116,3 @@ class ReachingDefsProblem(BitsetFacts, DataFlowProblem[DefFact, None]):
                 if p[0].startswith(prefix) and p[0] not in site.aliased
             )
         return fact
-
-
-def reaching_defs_analysis(
-    icfg: ICFG, strategy: str = "roundrobin", backend: str = "auto"
-) -> DataflowResult:
-    problem = ReachingDefsProblem(icfg)
-    entry, exit_ = icfg.entry_exit(icfg.root)
-    return solve(
-        icfg.graph, entry, exit_, problem, strategy=strategy, backend=backend
-    )

@@ -26,10 +26,9 @@ from typing import Mapping, Optional, Sequence
 from repro.cfg.icfg import ICFG
 from repro.cfg.node import AssignNode, Edge, EdgeKind, MpiNode, Node
 from repro.dataflow.bitset import BitsetFacts
-from repro.dataflow.framework import DataFlowProblem, DataflowResult, Direction
+from repro.dataflow.framework import DataFlowProblem, Direction
 from repro.dataflow.interproc import InterprocMaps
 from repro.dataflow.lattice import SetFact
-from repro.dataflow.solver import solve
 from repro.ir.ast_nodes import VarRef
 from repro.ir.mpi_ops import ArgRole, MpiKind
 from repro.ir.symtab import is_global_qname
@@ -201,22 +200,3 @@ class TaintProblem(BitsetFacts, DataFlowProblem[SetFact, bool]):
 
     def comm_meet(self, values: Sequence[bool]) -> bool:
         return any(values)
-
-
-def taint_analysis(
-    icfg: ICFG,
-    boundary_seeds: Sequence[str] = (),
-    node_seeds: Mapping[int, str] | None = None,
-    mpi_model: MpiModel = MpiModel.COMM_EDGES,
-    untrusted_channel: bool = False,
-    strategy: str = "roundrobin",
-    backend: str = "auto",
-) -> DataflowResult:
-    """Solve the influence analysis; see :class:`TaintProblem`."""
-    problem = TaintProblem(
-        icfg, boundary_seeds, node_seeds, mpi_model, untrusted_channel
-    )
-    entry, exit_ = icfg.entry_exit(icfg.root)
-    return solve(
-        icfg.graph, entry, exit_, problem, strategy=strategy, backend=backend
-    )

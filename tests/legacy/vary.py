@@ -14,10 +14,9 @@ from typing import Optional, Sequence
 from repro.cfg.icfg import ICFG
 from repro.cfg.node import AssignNode, Edge, EdgeKind, MpiNode, Node
 from repro.dataflow.bitset import BitsetFacts
-from repro.dataflow.framework import DataFlowProblem, DataflowResult, Direction
+from repro.dataflow.framework import DataFlowProblem, Direction
 from repro.dataflow.interproc import InterprocMaps
 from repro.dataflow.lattice import SetFact
-from repro.dataflow.solver import solve
 from repro.ir.ast_nodes import ArrayRef, VarRef
 from repro.ir.mpi_ops import MpiKind
 from repro.ir.symtab import is_global_qname
@@ -235,37 +234,6 @@ class VaryProblem(BitsetFacts, DataFlowProblem[SetFact, bool]):
 
     def comm_meet(self, values: Sequence[bool]) -> bool:
         return any(values)
-
-
-def vary_analysis(
-    icfg: ICFG,
-    independents: Sequence[str],
-    mpi_model: MpiModel = MpiModel.COMM_EDGES,
-    strategy: str = "roundrobin",
-    backend: str = "auto",
-    universe=None,
-    record_convergence: bool = False,
-    record_provenance: bool = False,
-) -> DataflowResult:
-    """Solve Vary for the given independent variables of ``icfg.root``.
-
-    ``universe`` optionally shares a
-    :class:`~repro.dataflow.bitset.FactUniverse` with sibling solves
-    (see :func:`repro.analyses.activity.activity_analysis`).
-    """
-    problem = VaryProblem(icfg, independents, mpi_model)
-    entry, exit_ = icfg.entry_exit(icfg.root)
-    return solve(
-        icfg.graph,
-        entry,
-        exit_,
-        problem,
-        strategy=strategy,
-        backend=backend,
-        universe=universe,
-        record_convergence=record_convergence,
-        record_provenance=record_provenance,
-    )
 
 
 _ = ArrayRef  # referenced in docs/tests

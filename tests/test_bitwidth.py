@@ -219,6 +219,6 @@ class TestInterprocedural:
         prog = parse_program(src)
         icfg, _ = build_mpi_cfg(prog, "main")
         rr = bitwidth_analysis(icfg, strategy="roundrobin")
-        wl = bitwidth_analysis(icfg, strategy="worklist")
+        pr = bitwidth_analysis(icfg, strategy="priority")
         for nid in icfg.graph.nodes:
-            assert rr.out_fact(nid) == wl.out_fact(nid)
+            assert rr.out_fact(nid) == pr.out_fact(nid)

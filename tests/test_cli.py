@@ -35,6 +35,23 @@ class TestCheck:
         path.write_text("program bad;\nproc main() { x = 1.0; }")
         assert main(["check", str(path)]) == 1
 
+    @pytest.mark.parametrize(
+        "source, message",
+        [
+            ("proc main() { real a; real a; }", "2:23: duplicate declaration"),
+            ("proc main(real a) {\n  int a;\n}", "3:3: duplicate declaration"),
+        ],
+        ids=["local-local", "param-local"],
+    )
+    def test_duplicate_declaration_has_position(
+        self, tmp_path, capsys, source, message
+    ):
+        path = tmp_path / "dup.spl"
+        path.write_text("program t;\n" + source)
+        assert main(["check", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {message} of 'a' in 'main'\n"
+
 
 class TestDot:
     def test_dot_output(self, fig1_file, capsys):

@@ -48,8 +48,8 @@ class TestTable1Harness:
         text = render_table1(small_rows, with_paper=False)
         assert "paper" not in text
 
-    def test_worklist_strategy(self):
-        row = run_benchmark(benchmark("CG"), strategy="worklist")
+    def test_priority_strategy(self):
+        row = run_benchmark(benchmark("CG"), strategy="priority")
         paper = row.spec.paper
         assert row.mpi.active_bytes == paper.mpi_active_bytes
 

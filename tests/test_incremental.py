@@ -7,7 +7,12 @@ demand query must reproduce the cold facts at its node while visiting
 no more nodes than the full solve.  Deterministic cases cover each
 re-solve mode (unchanged / warm / reset / cold fallback) on the Table 1
 benchmarks; the hypothesis suite replays random edit streams over
-generated SPMD programs across strategies and backends.
+generated SPMD programs across strategies.
+
+The solver runs these set problems on bitset facts.  Each deterministic
+case checks it against one of two ``reference`` solves of the mutated
+graph: ``bitset``, a cold solve on the live engine, or ``native``, the
+frozen frozenset solver in ``benchmarks/seed_solver.py``.
 """
 
 from __future__ import annotations
@@ -26,9 +31,11 @@ from repro.ir import builder as b
 from repro.mpi import build_mpi_icfg
 from repro.programs.registry import BENCHMARKS
 
+from benchmarks.seed_solver import seed_solve
+
 from .gen_programs import spmd_programs
 
-BACKENDS = ("native", "bitset")
+REFERENCES = ("native", "bitset")
 
 
 def _fixture(name):
@@ -41,10 +48,10 @@ def _fixture(name):
     return spec, icfg, entry, exit_
 
 
-def _cold(graph, entry, exit_, factory, backend):
-    return solve(
-        graph, entry, exit_, factory(), strategy="priority", backend=backend
-    )
+def _cold(graph, entry, exit_, factory, reference="bitset"):
+    if reference == "native":
+        return seed_solve(graph, entry, exit_, factory())
+    return solve(graph, entry, exit_, factory(), strategy="priority")
 
 
 def _assert_matches_cold(inc, cold, context):
@@ -60,12 +67,12 @@ def _assigns(graph):
 
 
 @pytest.mark.parametrize("name", ("LU-1", "Sw-3"))
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_payload_edits_match_cold(name, backend):
+@pytest.mark.parametrize("reference", REFERENCES)
+def test_payload_edits_match_cold(name, reference):
     spec, icfg, entry, exit_ = _fixture(name)
     graph = icfg.graph
     factory = lambda: VaryProblem(icfg, spec.independents)
-    solver = IncrementalSolver(graph, entry, exit_, factory, backend=backend)
+    solver = IncrementalSolver(graph, entry, exit_, factory)
     solver.solve()
     assert solver.last_mode == "cold"
     for nid in _assigns(graph)[:5]:
@@ -76,38 +83,39 @@ def test_payload_edits_match_cold(name, backend):
         inc = solver.solve()
         assert solver.last_mode == "reset"
         _assert_matches_cold(
-            inc, _cold(graph, entry, exit_, factory, backend), f"edit {nid}"
+            inc, _cold(graph, entry, exit_, factory, reference), f"edit {nid}"
         )
         node.value = original
         graph.touch_node(nid)
         inc = solver.solve()
         _assert_matches_cold(
-            inc, _cold(graph, entry, exit_, factory, backend), f"revert {nid}"
+            inc, _cold(graph, entry, exit_, factory, reference), f"revert {nid}"
         )
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_unchanged_graph_reuses_retained_result(backend):
+@pytest.mark.parametrize("reference", REFERENCES)
+def test_unchanged_graph_reuses_retained_result(reference):
     spec, icfg, entry, exit_ = _fixture("LU-1")
     factory = lambda: VaryProblem(icfg, spec.independents)
-    solver = IncrementalSolver(
-        icfg.graph, entry, exit_, factory, backend=backend
-    )
+    solver = IncrementalSolver(icfg.graph, entry, exit_, factory)
     first = solver.solve()
     again = solver.solve()
     assert solver.last_mode == "unchanged"
     assert again is first
+    _assert_matches_cold(
+        first, _cold(icfg.graph, entry, exit_, factory, reference), "cold"
+    )
 
 
 @pytest.mark.parametrize("name", ("LU-1", "Sw-3"))
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_comm_edge_removal_and_readd(name, backend):
+@pytest.mark.parametrize("reference", REFERENCES)
+def test_comm_edge_removal_and_readd(name, reference):
     """Dropping a matched COMM edge is a retraction (reset mode);
     restoring it is additive (warm mode).  Both must match cold."""
     spec, icfg, entry, exit_ = _fixture(name)
     graph = icfg.graph
     factory = lambda: VaryProblem(icfg, spec.independents)
-    solver = IncrementalSolver(graph, entry, exit_, factory, backend=backend)
+    solver = IncrementalSolver(graph, entry, exit_, factory)
     solver.solve()
     comm = [e for e in graph.edges() if e.kind is EdgeKind.COMM][:3]
     assert comm, f"{name} should have matched communication"
@@ -116,24 +124,24 @@ def test_comm_edge_removal_and_readd(name, backend):
         inc = solver.solve()
         assert solver.last_mode == "reset"
         _assert_matches_cold(
-            inc, _cold(graph, entry, exit_, factory, backend), f"drop {edge}"
+            inc, _cold(graph, entry, exit_, factory, reference), f"drop {edge}"
         )
         graph.add_edge(edge.src, edge.dst, edge.kind, edge.label)
         inc = solver.solve()
         assert solver.last_mode == "warm"
         _assert_matches_cold(
-            inc, _cold(graph, entry, exit_, factory, backend), f"readd {edge}"
+            inc, _cold(graph, entry, exit_, factory, reference), f"readd {edge}"
         )
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_interprocedural_edge_churn(backend):
+@pytest.mark.parametrize("reference", REFERENCES)
+def test_interprocedural_edge_churn(reference):
     """CALL/RETURN churn invalidates problem-held interprocedural maps,
     so the solver must rebuild the problem from its factory."""
     spec, icfg, entry, exit_ = _fixture("Sw-3")
     graph = icfg.graph
     factory = lambda: VaryProblem(icfg, spec.independents)
-    solver = IncrementalSolver(graph, entry, exit_, factory, backend=backend)
+    solver = IncrementalSolver(graph, entry, exit_, factory)
     solver.solve()
     returns = [e for e in graph.edges() if e.kind is EdgeKind.RETURN][:2]
     assert returns, "Sw-3 should have interprocedural edges"
@@ -141,42 +149,42 @@ def test_interprocedural_edge_churn(backend):
         graph.remove_edge(edge)
         _assert_matches_cold(
             solver.solve(),
-            _cold(graph, entry, exit_, factory, backend),
+            _cold(graph, entry, exit_, factory, reference),
             f"drop {edge}",
         )
         graph.add_edge(edge.src, edge.dst, edge.kind, edge.label)
         _assert_matches_cold(
             solver.solve(),
-            _cold(graph, entry, exit_, factory, backend),
+            _cold(graph, entry, exit_, factory, reference),
             f"readd {edge}",
         )
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_added_node_and_edge(backend):
+@pytest.mark.parametrize("reference", REFERENCES)
+def test_added_node_and_edge(reference):
     spec, icfg, entry, exit_ = _fixture("LU-1")
     graph = icfg.graph
     factory = lambda: VaryProblem(icfg, spec.independents)
-    solver = IncrementalSolver(graph, entry, exit_, factory, backend=backend)
+    solver = IncrementalSolver(graph, entry, exit_, factory)
     solver.solve()
     nid = max(graph.nodes) + 1
     graph.add_node(NoopNode(nid, graph.node(entry).proc))
     graph.add_edge(entry, nid)
     inc = solver.solve()
     assert solver.last_mode == "warm"
-    cold = _cold(graph, entry, exit_, factory, backend)
+    cold = _cold(graph, entry, exit_, factory, reference)
     _assert_matches_cold(inc, cold, "added node")
     assert nid in inc.before and nid in inc.after
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_journal_overflow_falls_back_to_cold(backend):
+@pytest.mark.parametrize("reference", REFERENCES)
+def test_journal_overflow_falls_back_to_cold(reference):
     from repro.cfg.graph import JOURNAL_CAPACITY
 
     spec, icfg, entry, exit_ = _fixture("LU-1")
     graph = icfg.graph
     factory = lambda: VaryProblem(icfg, spec.independents)
-    solver = IncrementalSolver(graph, entry, exit_, factory, backend=backend)
+    solver = IncrementalSolver(graph, entry, exit_, factory)
     solver.solve()
     nid = _assigns(graph)[0]
     for _ in range(JOURNAL_CAPACITY + 1):
@@ -184,7 +192,7 @@ def test_journal_overflow_falls_back_to_cold(backend):
     inc = solver.solve()
     assert solver.last_mode == "cold"
     _assert_matches_cold(
-        inc, _cold(graph, entry, exit_, factory, backend), "overflow"
+        inc, _cold(graph, entry, exit_, factory, reference), "overflow"
     )
 
 
@@ -193,35 +201,31 @@ def test_every_strategy_supported(strategy):
     spec, icfg, entry, exit_ = _fixture("LU-1")
     graph = icfg.graph
     factory = lambda: VaryProblem(icfg, spec.independents)
-    solver = IncrementalSolver(
-        graph, entry, exit_, factory, strategy=strategy, backend="auto"
-    )
+    solver = IncrementalSolver(graph, entry, exit_, factory, strategy=strategy)
     solver.solve()
     nid = _assigns(graph)[0]
     graph.node(nid).value = b.lit(7.0)
     graph.touch_node(nid)
     _assert_matches_cold(
         solver.solve(),
-        _cold(graph, entry, exit_, factory, solver.backend),
+        _cold(graph, entry, exit_, factory),
         strategy,
     )
 
 
 @pytest.mark.parametrize("name", ("LU-1", "Sw-3"))
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("reference", REFERENCES)
 @pytest.mark.parametrize("analysis", ("vary", "useful"))
-def test_demand_query_matches_full_solve(name, backend, analysis):
+def test_demand_query_matches_full_solve(name, reference, analysis):
     spec, icfg, entry, exit_ = _fixture(name)
     graph = icfg.graph
     if analysis == "vary":
         factory = lambda: VaryProblem(icfg, spec.independents)
     else:
         factory = lambda: UsefulProblem(icfg, spec.dependents)
-    cold = _cold(graph, entry, exit_, factory, backend)
+    cold = _cold(graph, entry, exit_, factory, reference)
     for node in (entry, exit_, _assigns(graph)[len(_assigns(graph)) // 2]):
-        query = solve_query(
-            graph, entry, exit_, factory(), node, backend=backend
-        )
+        query = solve_query(graph, entry, exit_, factory(), node)
         assert query.before == cold.before[node], (name, node)
         assert query.after == cold.after[node], (name, node)
         assert query.slice_nodes <= query.total_nodes
@@ -254,10 +258,8 @@ def test_generated_mutation_streams_match_cold(prog, data):
     graph = icfg.graph
     factory = lambda: VaryProblem(icfg, ("x",))
     strategy = data.draw(st.sampled_from(STRATEGIES))
-    backend = data.draw(st.sampled_from(BACKENDS))
-    solver = IncrementalSolver(
-        graph, entry, exit_, factory, strategy=strategy, backend=backend
-    )
+    reference = data.draw(st.sampled_from(REFERENCES))
+    solver = IncrementalSolver(graph, entry, exit_, factory, strategy=strategy)
     solver.solve()
 
     assigns = _assigns(graph)
@@ -291,14 +293,12 @@ def test_generated_mutation_streams_match_cold(prog, data):
             graph.add_edge(edge.src, edge.dst, edge.kind, edge.label)
 
         inc = solver.solve()
-        cold = _cold(graph, entry, exit_, factory, backend)
-        context = (strategy, backend, step, kind)
+        cold = _cold(graph, entry, exit_, factory, reference)
+        context = (strategy, reference, step, kind)
         _assert_matches_cold(inc, cold, context)
 
         qnode = data.draw(st.sampled_from(node_ids))
-        query = solve_query(
-            graph, entry, exit_, factory(), qnode, backend=backend
-        )
+        query = solve_query(graph, entry, exit_, factory(), qnode)
         assert query.before == cold.before[qnode], context
         assert query.after == cold.after[qnode], context
         assert query.visits <= cold.visits

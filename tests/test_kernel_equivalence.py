@@ -5,14 +5,15 @@ problem classes (own ``edge_fact`` renaming, inline MPI-model
 dispatch).  For each analysis the port must be *extensionally
 identical*: byte-identical before/after fact maps AND matching solver
 work counts (passes, visits, meets, transfers, comm requeues) across
-(MG-1, LU-1, Sw-3) × {roundrobin, worklist, priority} ×
-{native, bitset}, across all four MPI models, on the two-copy
-baseline graph, and on hypothesis-generated SPMD programs.
+(MG-1, LU-1, CG) × {roundrobin, priority}, across all four MPI models,
+on the two-copy baseline graph, and on hypothesis-generated SPMD
+programs.  Set problems run on bitset facts; their fixed points are
+also checked against the frozen frozenset reference solver
+(``benchmarks/seed_solver.py``).
 
 The one accepted behavioral delta of the port: the backward-slice
-``Need`` problem was not bitset-capable before (native under
-``backend="auto"``) and is now kernel-hosted, so backends are pinned
-explicitly here.
+``Need`` problem was not bitset-capable before and is now
+kernel-hosted, so the two runs differ in ``SolverStats.backend`` only.
 """
 
 from __future__ import annotations
@@ -36,6 +37,8 @@ from repro.dataflow.solver import STRATEGIES, solve
 from repro.mpi import build_mpi_icfg
 from repro.programs.registry import BENCHMARKS
 
+from benchmarks.seed_solver import seed_solve
+
 from .gen_programs import spmd_programs
 from .legacy import (
     LegacyBitwidthProblem,
@@ -55,7 +58,6 @@ BENCH_NAMES = ("MG-1", "LU-1", "Sw-3")
 #: is a pure refactor — are compared byte-for-byte.  Sw-3's request
 #: forms are covered by tests/test_nonblocking_semantics.py instead.
 BLOCKING_BENCH_NAMES = ("MG-1", "LU-1", "CG")
-CONFIGS = [(s, b) for s in STRATEGIES for b in ("native", "bitset")]
 
 #: analysis -> (legacy factory, kernel factory); both take (icfg, spec).
 SET_ANALYSES = {
@@ -108,15 +110,10 @@ def _stats_tuple(stats):
     )
 
 
-def _solve_pair(icfg, legacy, ported, strategy, backend, entry=None, exit_=None):
-    if entry is None:
-        entry, exit_ = icfg.entry_exit(icfg.root)
-    old = solve(
-        icfg.graph, entry, exit_, legacy, strategy=strategy, backend=backend
-    )
-    new = solve(
-        icfg.graph, entry, exit_, ported, strategy=strategy, backend=backend
-    )
+def _solve_pair(icfg, legacy, ported, strategy):
+    entry, exit_ = icfg.entry_exit(icfg.root)
+    old = solve(icfg.graph, entry, exit_, legacy, strategy=strategy)
+    new = solve(icfg.graph, entry, exit_, ported, strategy=strategy)
     return old, new
 
 
@@ -126,24 +123,33 @@ def _assert_identical(old, new, ctx):
     assert _stats_tuple(new.stats) == _stats_tuple(old.stats), ctx
 
 
+def _assert_matches_seed(icfg, legacy, new, ctx):
+    """``new``'s facts equal the frozen frozenset solve of ``legacy``."""
+    entry, exit_ = icfg.entry_exit(icfg.root)
+    ref = seed_solve(icfg.graph, entry, exit_, legacy)
+    assert new.before == ref.before, ctx
+    assert new.after == ref.after, ctx
+
+
 @pytest.mark.parametrize("name", BLOCKING_BENCH_NAMES)
 @pytest.mark.parametrize("analysis", sorted(SET_ANALYSES))
 def test_set_analyses_match_legacy(name, analysis):
     spec = BENCHMARKS[name]
     icfg = _benchmark_icfg(name)
     make_legacy, make_new = SET_ANALYSES[analysis]
-    for strategy, backend in CONFIGS:
+    for strategy in STRATEGIES:
         old, new = _solve_pair(
-            icfg, make_legacy(icfg, spec), make_new(icfg, spec),
-            strategy, backend,
+            icfg, make_legacy(icfg, spec), make_new(icfg, spec), strategy
         )
-        _assert_identical(old, new, (name, analysis, strategy, backend))
+        assert new.stats.backend == "bitset"
+        _assert_identical(old, new, (name, analysis, strategy))
+    _assert_matches_seed(icfg, make_legacy(icfg, spec), new, (name, analysis))
 
 
 @pytest.mark.parametrize("model", list(MpiModel))
 @pytest.mark.parametrize("analysis", ("vary", "useful", "taint"))
 def test_mpi_models_match_legacy(model, analysis):
-    """Every MpiModel treatment survives the port (CG, native)."""
+    """Every MpiModel treatment survives the port (CG)."""
     spec = BENCHMARKS["CG"]
     icfg = _benchmark_icfg("CG")
     seeds = spec.independents if analysis != "useful" else spec.dependents
@@ -162,9 +168,11 @@ def test_mpi_models_match_legacy(model, analysis):
         legacy_cls(icfg, seeds, mpi_model=model),
         new_cls(icfg, seeds, mpi_model=model),
         "roundrobin",
-        "native",
     )
     _assert_identical(old, new, (analysis, model))
+    _assert_matches_seed(
+        icfg, legacy_cls(icfg, seeds, mpi_model=model), new, (analysis, model)
+    )
 
 
 @pytest.mark.parametrize("name", BENCH_NAMES)
@@ -180,15 +188,14 @@ def test_env_analyses_match_legacy(name, make_legacy, make_new):
     """The escape-hatch env analyses (native facts only)."""
     icfg = _benchmark_icfg(name)
     for strategy in STRATEGIES:
-        old, new = _solve_pair(
-            icfg, make_legacy(icfg), make_new(icfg), strategy, "native"
-        )
+        old, new = _solve_pair(icfg, make_legacy(icfg), make_new(icfg), strategy)
+        assert new.stats.backend == "native"
         _assert_identical(old, new, (name, strategy))
 
 
 def test_need_matches_legacy():
-    """The backward-slice demand problem: legacy closure class vs the
-    parameterized NEED_SPEC (explicit backends — see module docstring)."""
+    """The backward-slice demand problem: legacy closure class (frozenset
+    facts) vs the parameterized NEED_SPEC (bitset facts)."""
     for name in BENCH_NAMES:
         spec = BENCHMARKS[name]
         icfg = _benchmark_icfg(name)
@@ -207,17 +214,13 @@ def test_need_matches_legacy():
         ported = KernelProblem(
             NEED_SPEC, icfg, gen_before={criterion: seeds}
         )
-        old, new = _solve_pair(icfg, legacy, ported, "roundrobin", "native")
-        _assert_identical(old, new, name)
-        # Kernel hosting makes Need bitset-capable; same fixed point.
-        entry, exit_ = icfg.entry_exit(icfg.root)
-        bits = solve(
-            icfg.graph, entry, exit_,
-            KernelProblem(NEED_SPEC, icfg, gen_before={criterion: seeds}),
-            strategy="roundrobin", backend="bitset",
-        )
-        assert bits.before == old.before, name
-        assert bits.after == old.after, name
+        old, new = _solve_pair(icfg, legacy, ported, "roundrobin")
+        # Kernel hosting makes Need bitset-capable; same fixed point and
+        # the same work counts.
+        assert (old.stats.backend, new.stats.backend) == ("native", "bitset")
+        assert new.before == old.before, name
+        assert new.after == old.after, name
+        assert _stats_tuple(new.stats)[2:] == _stats_tuple(old.stats)[2:], name
         # backward_slice still runs the same analysis end to end.
         sliced = backward_slice(icfg, criterion)
         assert sliced.influence.before == old.before, name
@@ -270,20 +273,12 @@ def _two_copy_seeds(two, names):
 )
 def test_generated_programs_match_legacy(prog):
     icfg, _ = build_mpi_icfg(prog, "main")
-    for backend in ("native", "bitset"):
+    for name, make_legacy, make_new, seeds in (
+        ("vary", LegacyVaryProblem, VaryProblem, ("x",)),
+        ("useful", LegacyUsefulProblem, UsefulProblem, ("out",)),
+    ):
         old, new = _solve_pair(
-            icfg,
-            LegacyVaryProblem(icfg, ("x",)),
-            VaryProblem(icfg, ("x",)),
-            "worklist",
-            backend,
+            icfg, make_legacy(icfg, seeds), make_new(icfg, seeds), "priority"
         )
-        _assert_identical(old, new, ("vary", backend))
-        old, new = _solve_pair(
-            icfg,
-            LegacyUsefulProblem(icfg, ("out",)),
-            UsefulProblem(icfg, ("out",)),
-            "worklist",
-            backend,
-        )
-        _assert_identical(old, new, ("useful", backend))
+        _assert_identical(old, new, name)
+        _assert_matches_seed(icfg, make_legacy(icfg, seeds), new, name)

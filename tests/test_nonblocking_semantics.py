@@ -39,6 +39,8 @@ from repro.programs.registry import BENCHMARKS
 from repro.runtime import LatencyModel, RunConfig, run_spmd
 from repro.transforms import make_nonblocking
 
+from benchmarks.seed_solver import seed_solve
+
 from .gen_programs import spmd_programs
 from .legacy import LegacyUsefulProblem, LegacyVaryProblem
 
@@ -137,20 +139,17 @@ def test_blocking_rows_match_legacy(name):
          UsefulProblem(icfg, spec.dependents)),
     )
     for legacy, ported in pairs:
-        for backend in ("native", "bitset"):
-            old = solve(
-                icfg.graph, entry, exit_, legacy,
-                strategy="worklist", backend=backend,
-            )
-            new = solve(
-                icfg.graph, entry, exit_, ported,
-                strategy="worklist", backend=backend,
-            )
-            ctx = (name, type(ported).__name__, backend)
-            assert new.before == old.before, ctx
-            assert new.after == old.after, ctx
-            assert new.stats.transfers == old.stats.transfers, ctx
-            assert new.stats.comm_requeues == old.stats.comm_requeues, ctx
+        old = solve(icfg.graph, entry, exit_, legacy, strategy="priority")
+        new = solve(icfg.graph, entry, exit_, ported, strategy="priority")
+        ctx = (name, type(ported).__name__)
+        assert new.before == old.before, ctx
+        assert new.after == old.after, ctx
+        assert new.stats.transfers == old.stats.transfers, ctx
+        assert new.stats.comm_requeues == old.stats.comm_requeues, ctx
+        # The frozen frozenset solver agrees with the bitset run.
+        ref = seed_solve(icfg.graph, entry, exit_, legacy)
+        assert new.before == ref.before, ctx
+        assert new.after == ref.after, ctx
 
 
 # ---------------------------------------------------------------------------

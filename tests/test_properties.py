@@ -7,7 +7,7 @@ The heavy-hitters of the suite:
 * **reaching-constants soundness** — whenever the static analysis
   claims a constant after an assignment, every dynamic execution of
   that assignment produced exactly that value;
-* **solver strategy agreement** — worklist and round-robin reach the
+* **solver strategy agreement** — priority and round-robin reach the
   same fixed point;
 * **separability** — liveness is unchanged by communication edges;
 * **two-copy equivalence** — the paper's precision claim, on random
@@ -67,10 +67,10 @@ def test_icfg_well_formed(prog):
 def test_solver_strategies_agree(prog):
     icfg, _ = build_mpi_icfg(prog, "main")
     rr = vary_analysis(icfg, ["x"], MpiModel.COMM_EDGES, strategy="roundrobin")
-    wl = vary_analysis(icfg, ["x"], MpiModel.COMM_EDGES, strategy="worklist")
+    pr = vary_analysis(icfg, ["x"], MpiModel.COMM_EDGES, strategy="priority")
     for nid in icfg.graph.nodes:
-        assert rr.in_fact(nid) == wl.in_fact(nid)
-        assert rr.out_fact(nid) == wl.out_fact(nid)
+        assert rr.in_fact(nid) == pr.in_fact(nid)
+        assert rr.out_fact(nid) == pr.out_fact(nid)
 
 
 @given(spmd_programs())

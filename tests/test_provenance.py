@@ -4,11 +4,13 @@ Covers the three acceptance properties:
 
 * **neutrality** — ``record_provenance=False`` (the default) produces
   byte-identical facts and :class:`SolverStats` to a provenance-enabled
-  run, and allocates no recorder/trace objects;
+  run, and allocates no recorder/trace objects, on both fact paths
+  (bitset set problems and native constant environments);
 * **cross-edge explanation** — explaining the received value on
   Figure 1 yields a chain whose first COMM hop is the matched send,
-  with rank/tag context from the matcher, identically on the native
-  and bitset backends;
+  with rank/tag context from the matcher, identically for the
+  kernel-hosted problems and their frozen pre-kernel copies in
+  ``tests/legacy``;
 * **arm divergence** — the same question answered on the plain ICFG
   (global-buffer model) produces a structurally different chain with
   no COMM hops.
@@ -21,12 +23,16 @@ import dataclasses
 import pytest
 
 from repro.analyses import MpiModel, activity_analysis
+from repro.analyses.bitwidth import BitwidthProblem
+from repro.analyses.reaching_constants import ReachingConstantsProblem
 from repro.analyses.useful import UsefulProblem
 from repro.analyses.vary import VaryProblem
-from repro.dataflow.solver import solve
+from repro.dataflow.solver import STRATEGIES, solve
 from repro.mpi import build_mpi_icfg
 from repro.obs import explain, explain_activity, render_chain
 from repro.programs.registry import BENCHMARKS
+
+from .legacy import LegacyUsefulProblem, LegacyVaryProblem
 
 
 # ---------------------------------------------------------------------------
@@ -40,26 +46,36 @@ def _stats_key(stats):
 
 
 @pytest.mark.parametrize("bench", ["MG-1", "LU-1"])
-@pytest.mark.parametrize("strategy", ["priority", "worklist"])
+@pytest.mark.parametrize("strategy", STRATEGIES)
 @pytest.mark.parametrize("backend", ["native", "bitset"])
 def test_provenance_off_is_neutral(bench, strategy, backend):
+    """``backend`` picks the fact path through the problems solved:
+    bitset set problems (Vary, Useful) or native environments
+    (reaching constants, bitwidth)."""
     spec = BENCHMARKS[bench]
     icfg, _ = build_mpi_icfg(spec.program(), spec.root, clone_level=spec.clone_level)
     entry, exit_ = icfg.entry_exit(icfg.root)
-    for make in (
-        lambda: VaryProblem(icfg, spec.independents),
-        lambda: UsefulProblem(icfg, spec.dependents),
-    ):
-        off = solve(icfg.graph, entry, exit_, make(), strategy=strategy, backend=backend)
+    if backend == "bitset":
+        makers = (
+            lambda: VaryProblem(icfg, spec.independents),
+            lambda: UsefulProblem(icfg, spec.dependents),
+        )
+    else:
+        makers = (
+            lambda: ReachingConstantsProblem(icfg),
+            lambda: BitwidthProblem(icfg),
+        )
+    for make in makers:
+        off = solve(icfg.graph, entry, exit_, make(), strategy=strategy)
         on = solve(
             icfg.graph,
             entry,
             exit_,
             make(),
             strategy=strategy,
-            backend=backend,
             record_provenance=True,
         )
+        assert off.stats.backend == backend
         assert off.provenance is None  # no recorder allocated when disabled
         assert on.provenance is not None
         assert off.before == on.before
@@ -84,29 +100,44 @@ def test_provenance_off_by_default(fig1_mpi_cfg):
 
 @pytest.fixture(scope="module")
 def fig1_arms():
-    """(mpi activity, icfg activity, p2p pair) for Figure 1, both with
-    provenance recorded, per backend."""
+    """(mpi arm, icfg arm, p2p pair) for Figure 1, both with provenance
+    recorded, per implementation: ``kernel`` is the live activity
+    analysis; ``legacy`` solves the frozen pre-kernel Vary/Useful
+    problems, the reference that provenance (which the seed solver
+    cannot record) is compared against."""
+    from types import SimpleNamespace
+
     from repro.programs import figure1
 
-    def build(backend):
-        icfg, match = build_mpi_icfg(figure1.program(), "main")
-        p2p = next(p for p in match.pairs if p.reason == "p2p")
-        mpi = activity_analysis(
-            icfg, ["x"], ["f"], MpiModel.COMM_EDGES,
-            backend=backend, record_provenance=True,
+    icfg, match = build_mpi_icfg(figure1.program(), "main")
+    p2p = next(p for p in match.pairs if p.reason == "p2p")
+    entry, exit_ = icfg.entry_exit(icfg.root)
+
+    def legacy(model):
+        def run(problem):
+            return solve(
+                icfg.graph, entry, exit_, problem, record_provenance=True
+            )
+
+        return SimpleNamespace(
+            vary=run(LegacyVaryProblem(icfg, ["x"], model)),
+            useful=run(LegacyUsefulProblem(icfg, ["f"], model)),
         )
-        ic = activity_analysis(
-            icfg, ["x"], ["f"], MpiModel.GLOBAL_BUFFER,
-            backend=backend, record_provenance=True,
+
+    def kernel(model):
+        return activity_analysis(
+            icfg, ["x"], ["f"], model, record_provenance=True
         )
-        return mpi, ic, p2p
 
-    return {backend: build(backend) for backend in ("native", "bitset")}
+    return {
+        name: (build(MpiModel.COMM_EDGES), build(MpiModel.GLOBAL_BUFFER), p2p)
+        for name, build in (("kernel", kernel), ("legacy", legacy))
+    }
 
 
-@pytest.mark.parametrize("backend", ["native", "bitset"])
-def test_fig1_first_comm_hop_is_matched_send(fig1_arms, backend):
-    mpi, _, p2p = fig1_arms[backend]
+@pytest.mark.parametrize("impl", ["kernel", "legacy"])
+def test_fig1_first_comm_hop_is_matched_send(fig1_arms, impl):
+    mpi, _, p2p = fig1_arms[impl]
     chain = explain(mpi.vary, p2p.dst, "main::y")
     assert chain.found
     hops = chain.comm_hops
@@ -123,9 +154,9 @@ def test_fig1_first_comm_hop_is_matched_send(fig1_arms, backend):
     assert chain.seed.atom == "main::x"
 
 
-@pytest.mark.parametrize("backend", ["native", "bitset"])
-def test_fig1_icfg_arm_has_no_comm_hops_and_differs(fig1_arms, backend):
-    mpi, ic, p2p = fig1_arms[backend]
+@pytest.mark.parametrize("impl", ["kernel", "legacy"])
+def test_fig1_icfg_arm_has_no_comm_hops_and_differs(fig1_arms, impl):
+    mpi, ic, p2p = fig1_arms[impl]
     mpi_chain = explain(mpi.vary, p2p.dst, "main::y")
     icfg_chain = explain(ic.vary, p2p.dst, "main::y")
     assert icfg_chain.found
@@ -136,19 +167,19 @@ def test_fig1_icfg_arm_has_no_comm_hops_and_differs(fig1_arms, backend):
     assert any("__mpi_buffer" in (s.cause or "") + s.atom for s in icfg_chain.steps)
 
 
-def test_fig1_chains_identical_across_backends(fig1_arms):
+def test_fig1_chains_identical_to_legacy(fig1_arms):
     sigs = {}
-    for backend, (mpi, ic, p2p) in fig1_arms.items():
-        sigs[backend] = (
+    for impl, (mpi, ic, p2p) in fig1_arms.items():
+        sigs[impl] = (
             explain(mpi.vary, p2p.dst, "main::y").signature(),
             explain(ic.vary, p2p.dst, "main::y").signature(),
             explain(mpi.useful, p2p.src, "main::x").signature(),
         )
-    assert sigs["native"] == sigs["bitset"]
+    assert sigs["kernel"] == sigs["legacy"]
 
 
 def test_fig1_useful_chain_crosses_edge_backward(fig1_arms):
-    mpi, _, p2p = fig1_arms["native"]
+    mpi, _, p2p = fig1_arms["kernel"]
     chain = explain(mpi.useful, p2p.src, "main::x")
     assert chain.found
     assert chain.comm_hops, "Useful chain must cross the recv→send edge"
@@ -159,7 +190,7 @@ def test_fig1_useful_chain_crosses_edge_backward(fig1_arms):
 
 
 def test_fig1_explain_activity_resolves_bare_names(fig1_arms):
-    mpi, _, p2p = fig1_arms["native"]
+    mpi, _, p2p = fig1_arms["kernel"]
     exp = explain_activity(mpi, p2p.dst, "y")
     assert exp.atom == "main::y"
     assert exp.active
@@ -170,7 +201,7 @@ def test_fig1_explain_activity_resolves_bare_names(fig1_arms):
 
 
 def test_render_chain_collapses_flow_runs(fig1_arms):
-    mpi, _, p2p = fig1_arms["native"]
+    mpi, _, p2p = fig1_arms["kernel"]
     chain = explain(mpi.vary, p2p.dst, "main::y")
     text = render_chain(chain)
     assert "why main::y" in text
@@ -182,7 +213,7 @@ def test_render_chain_collapses_flow_runs(fig1_arms):
 def test_chain_as_dict_round_trips_json(fig1_arms):
     import json
 
-    mpi, _, p2p = fig1_arms["native"]
+    mpi, _, p2p = fig1_arms["kernel"]
     chain = explain(mpi.vary, p2p.dst, "main::y")
     blob = json.dumps(chain.as_dict())
     back = json.loads(blob)
@@ -191,7 +222,7 @@ def test_chain_as_dict_round_trips_json(fig1_arms):
 
 
 def test_not_derivable_reports_note(fig1_arms):
-    mpi, _, p2p = fig1_arms["native"]
+    mpi, _, p2p = fig1_arms["kernel"]
     chain = explain(mpi.vary, 0, "main::zzz_not_a_fact")
     assert not chain.found
     assert "not" in render_chain(chain)

@@ -289,8 +289,8 @@ class TestIterationAccounting:
         res = reaching_constants(fig1_mpi_cfg, strategy="roundrobin")
         assert res.iterations >= 2
 
-    def test_worklist_agrees_with_roundrobin(self, fig1_mpi_cfg):
+    def test_priority_agrees_with_roundrobin(self, fig1_mpi_cfg):
         rr = reaching_constants(fig1_mpi_cfg, strategy="roundrobin")
-        wl = reaching_constants(fig1_mpi_cfg, strategy="worklist")
+        pr = reaching_constants(fig1_mpi_cfg, strategy="priority")
         for nid in fig1_mpi_cfg.graph.nodes:
-            assert rr.out_fact(nid) == wl.out_fact(nid)
+            assert rr.out_fact(nid) == pr.out_fact(nid)

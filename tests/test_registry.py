@@ -125,9 +125,11 @@ def test_analyze_validates_required_seeds(tmp_path, capsys):
 
 
 def test_analyze_backend_and_model_flags(capsys):
-    assert (
-        main(["analyze", "vary", "--smoke", "--backend", "bitset"]) == 0
-    )
+    # The problem's type picks the fact path: no --backend flag.
+    with pytest.raises(SystemExit):
+        main(["analyze", "vary", "--smoke", "--backend", "bitset"])
+    capsys.readouterr()
+    assert main(["analyze", "vary", "--smoke"]) == 0
     out = capsys.readouterr().out
     assert "backend bitset" in out
     assert (
@@ -154,7 +156,7 @@ def test_run_analysis_cached_hits():
         "vary",
         icfg,
         program,
-        registry.AnalyzeRequest(independents=("x",), strategy="worklist"),
+        registry.AnalyzeRequest(independents=("x",), strategy="priority"),
         cache=cache,
     )
     assert other is not first

@@ -33,10 +33,13 @@ class TestExplainCli:
         assert "main::y" in html
 
     def test_single_arm_and_backend(self, capsys):
-        assert main(
-            ["explain", "--smoke", "--fact", "y", "--arm", "mpi",
-             "--phase", "vary", "--backend", "bitset"]
-        ) == 0
+        argv = ["explain", "--smoke", "--fact", "y", "--arm", "mpi",
+                "--phase", "vary"]
+        # The problem's type picks the fact path: no --backend flag.
+        with pytest.raises(SystemExit):
+            main(argv + ["--backend", "bitset"])
+        capsys.readouterr()
+        assert main(argv) == 0
         out = capsys.readouterr().out
         assert "MPI-ICFG" in out
         assert "— ICFG vary" not in out  # ICFG arm suppressed
@@ -185,31 +188,30 @@ class TestRegressionGate:
 
     def test_solver_passes_and_fails_on_geomean(self, gate):
         committed = self._solver_report(
-            {("priority", "native"): 2.5, ("worklist", "bitset"): 1.5}
+            {("priority", "bitset"): 2.5, ("roundrobin", "bitset"): 1.5}
         )
         ok = self._solver_report(
-            {("priority", "native"): 2.1, ("worklist", "bitset"): 1.6}
+            {("priority", "bitset"): 2.1, ("roundrobin", "bitset"): 1.6}
         )
         assert gate.compare_solver(committed, ok) == []
         bad = self._solver_report(
-            {("priority", "native"): 1.0, ("worklist", "bitset"): 1.6}
+            {("priority", "bitset"): 1.0, ("roundrobin", "bitset"): 1.6}
         )
         failures = gate.compare_solver(committed, bad)
         assert len(failures) == 1
-        assert "priority/native" in failures[0]
+        assert "priority/bitset" in failures[0]
 
     def test_geomean(self, gate):
         assert gate.geomean([2.0, 8.0]) == pytest.approx(4.0)
         assert gate.geomean([]) == 0.0
 
-    def _incremental_report(self, speedup, backend="bitset", visits=10,
-                            cold_visits=100):
+    def _incremental_report(self, speedup, visits=10, cold_visits=100):
         return {
             "benchmarks": [
                 {
                     "name": "LU-1",
                     "analysis": "vary",
-                    "backend": backend,
+                    "backend": "bitset",
                     "streams": {"single_stmt": {"speedup": speedup}},
                     "demand": {"visits": visits, "cold_visits": cold_visits},
                 }
@@ -227,10 +229,6 @@ class TestRegressionGate:
         failures = gate.compare_incremental(committed, fresh)
         assert len(failures) == 1
         assert "fresh" in failures[0] and "3.0×" in failures[0]
-
-    def test_incremental_native_rows_are_informational(self, gate):
-        slow_native = self._incremental_report(1.5, backend="native")
-        assert gate.incremental_failures(slow_native) == []
 
     def test_incremental_demand_must_beat_cold_visits(self, gate):
         report = self._incremental_report(9.0, visits=100, cold_visits=100)

@@ -145,16 +145,24 @@ class TestServeRequest:
             {"bench": "Sw-3", "kind": "nope"},
             {"bench": "Sw-3", "model": "nope"},
             {"bench": "Sw-3", "strategy": "nope"},
-            {"bench": "Sw-3", "backend": "nope"},
+            {"bench": "Sw-3", "backend": "bitset"},  # no such field
             {"bench": "Sw-3", "kind": "explain"},  # explain without fact
             {"bench": "Sw-3", "clone_level": -1},
             {"bench": "Sw-3", "node": "five"},
             {"bench": "Sw-3", "independents": [1, 2]},
+            {"bench": "Sw-3", "strategy": "worklist"},  # retired strategy
         ],
     )
     def test_rejects_bad_requests(self, raw):
-        with pytest.raises(ServeError):
+        with pytest.raises(ServeError) as exc:
             ServeRequest.from_dict(raw)
+        assert exc.value.status == 400
+        if raw == {"bench": "Sw-3", "backend": "bitset"}:
+            assert str(exc.value) == "unknown request field(s): backend"
+        if raw == {"bench": "Sw-3", "strategy": "worklist"}:
+            assert str(exc.value) == (
+                "unknown strategy 'worklist'; expected one of roundrobin, priority"
+            )
 
     def test_key_covers_response_shaping_fields(self):
         base = ServeRequest(bench="Sw-3")
@@ -343,7 +351,6 @@ def _direct_analyze_text(bench: str, analysis: str, **over) -> str:
         dependents=tuple(over.get("dependents", spec.dependents)),
         mpi_model=MpiModel(over.get("model", "comm-edges")),
         strategy=over.get("strategy", "roundrobin"),
-        backend=over.get("backend", "auto"),
         query=over.get("query"),
     )
     if entry.supports_model and req.mpi_model.uses_comm_edges:
@@ -524,7 +531,7 @@ class TestServerEndToEnd:
             "analysis": "taint",
             "bench": "Sw-3",
             # A fresh strategy knob keeps this key cold in the LRU.
-            "strategy": "worklist",
+            "strategy": "priority",
         }
         results = []
         barrier = threading.Barrier(6)

@@ -6,8 +6,16 @@ import pytest
 
 from repro.cfg import EdgeKind, FlowGraph, NoopNode
 from repro.cfg.node import Node
-from repro.dataflow import DataFlowProblem, Direction, solve
+from repro.dataflow import (
+    BitsetAdapter,
+    BitsetFacts,
+    DataFlowProblem,
+    Direction,
+    solve,
+)
 from repro.dataflow.solver import SolverError
+
+from benchmarks.seed_solver import seed_solve
 
 
 def chain_graph(n: int) -> FlowGraph:
@@ -87,17 +95,6 @@ class TestLoops:
         res = solve(g, 0, 2, CollectNames())
         assert res.out_fact(0) == {"start", "n0", "n1", "n2"}
 
-    def test_worklist_matches_roundrobin(self):
-        g = chain_graph(6)
-        g.add_edge(5, 2)
-        g.add_edge(3, 1)
-        rr = solve(g, 0, 5, CollectNames(), strategy="roundrobin")
-        wl = solve(g, 0, 5, CollectNames(), strategy="worklist")
-        for nid in g.nodes:
-            assert rr.in_fact(nid) == wl.in_fact(nid)
-            assert rr.out_fact(nid) == wl.out_fact(nid)
-        assert wl.solver == "worklist" and wl.visits > 0
-
 
 class TestCommEdges:
     class CommProblem(DataFlowProblem[frozenset, bool]):
@@ -148,20 +145,6 @@ class TestCommEdges:
         res = solve(g, 0, 1, self.CommProblem())
         assert "received" not in res.out_fact(1)
 
-    def test_worklist_requeues_comm_targets(self):
-        g = FlowGraph()
-        for i in range(5):
-            g.add_node(NoopNode(i, "p"))
-        # Longer chain so node 0's before changes late: 3->4->0, comm 0 => 2.
-        g.add_edge(3, 4)
-        g.add_edge(4, 0)
-        g.add_edge(1, 2)
-        g.add_edge(0, 2, EdgeKind.COMM)
-        rr = solve(g, 3, 0, self.CommProblem(), strategy="roundrobin")
-        wl = solve(g, 3, 0, self.CommProblem(), strategy="worklist")
-        assert rr.out_fact(2) == wl.out_fact(2)
-        assert "received" in wl.out_fact(2)
-
 
 class TestPriorityStrategy:
     def test_matches_roundrobin_on_loops(self):
@@ -176,6 +159,7 @@ class TestPriorityStrategy:
         assert pr.solver == "priority" and pr.visits > 0
 
     def test_comm_value_crosses_edge(self):
+        # Longer chain so node 0's before changes late: 3->4->0, comm 0 => 2.
         g = FlowGraph()
         for i in range(5):
             g.add_node(NoopNode(i, "p"))
@@ -199,11 +183,8 @@ class TestPriorityStrategy:
         assert res.visits <= rr.visits
 
 
-class BitsetCollect(CollectNames):
+class BitsetCollect(BitsetFacts, CollectNames):
     """CollectNames with bitset-lattice semantics declared."""
-
-    bitset_capable = True
-    flow_identity = True
 
 
 class TestBackends:
@@ -218,31 +199,32 @@ class TestBackends:
         res = solve(g, 0, 2, CollectNames())
         assert res.stats.backend == "native"
 
-    def test_forced_backends_agree(self):
+    def test_bitset_matches_seed_solver(self):
         g = chain_graph(5)
         g.add_edge(4, 1)
-        native = solve(g, 0, 4, BitsetCollect(), backend="native")
-        bitset = solve(g, 0, 4, BitsetCollect(), backend="bitset")
-        assert native.before == bitset.before
-        assert native.after == bitset.after
+        ref = seed_solve(g, 0, 4, BitsetCollect())
+        bitset = solve(g, 0, 4, BitsetCollect())
+        assert bitset.stats.backend == "bitset"
+        assert ref.before == bitset.before
+        assert ref.after == bitset.after
 
     def test_bitset_requires_declaration(self):
-        g = chain_graph(2)
         with pytest.raises(ValueError, match="bitset"):
-            solve(g, 0, 1, CollectNames(), backend="bitset")
+            BitsetAdapter(CollectNames())
 
     def test_unknown_backend(self):
+        # The problem's type decides the fact path; there is no flag.
         g = chain_graph(2)
-        with pytest.raises(ValueError, match="backend"):
-            solve(g, 0, 1, CollectNames(), backend="simd")
+        with pytest.raises(TypeError, match="backend"):
+            solve(g, 0, 1, CollectNames(), backend="bitset")
 
 
 class TestStats:
     def test_stats_populated(self):
         g = chain_graph(4)
-        res = solve(g, 0, 3, CollectNames(), strategy="worklist")
+        res = solve(g, 0, 3, CollectNames(), strategy="priority")
         stats = res.stats
-        assert stats.strategy == "worklist"
+        assert stats.strategy == "priority"
         assert stats.backend == "native"
         assert stats.visits == res.visits > 0
         assert stats.transfers > 0
@@ -259,11 +241,11 @@ class TestStats:
 
     def test_comm_requeues_counted(self):
         # Comm edge pointing *backwards* in reverse postorder: node 1
-        # drains before node 2's before-fact is known, so the worklist
-        # must re-queue it when the communication source changes.
+        # drains before node 2's before-fact is known, so the priority
+        # worklist must re-queue it when the communication source changes.
         g = chain_graph(3)
         g.add_edge(2, 1, EdgeKind.COMM)
-        res = solve(g, 0, 2, TestCommEdges.CommProblem(), strategy="worklist")
+        res = solve(g, 0, 2, TestCommEdges.CommProblem(), strategy="priority")
         assert "received" in res.out_fact(1)
         assert res.stats.comm_requeues > 0
 

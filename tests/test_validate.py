@@ -40,6 +40,33 @@ class TestDeclarations:
         with pytest.raises(ValueError):
             check("program t;\nglobal real g;\nglobal real g;\nproc main() {}")
 
+    @pytest.mark.parametrize(
+        "source, message",
+        [
+            (
+                "program t;\nproc main() { real a; real a; }",
+                "2:23: duplicate declaration of 'a' in 'main'",
+            ),
+            (
+                "program t;\nproc main(real a) {\n  int a;\n}",
+                "3:3: duplicate declaration of 'a' in 'main'",
+            ),
+            (
+                "program t;\nproc main(real a, int a) {}",
+                "2:19: duplicate declaration of 'a' in 'main'",
+            ),
+            (
+                "program t;\nglobal real g;\nglobal real g;\nproc main() {}",
+                "3:1: duplicate global 'g'",
+            ),
+        ],
+        ids=["local-local", "param-local", "param-param", "global-global"],
+    )
+    def test_duplicate_declaration_is_positioned(self, source, message):
+        with pytest.raises(ValidationError) as exc:
+            check(source)
+        assert exc.value.errors == [message]
+
     def test_local_shadowing_global_rejected(self):
         expect_error(
             "program t;\nglobal real g;\nproc main() { real g; }",
